@@ -16,9 +16,7 @@
 #include "bench_common.h"
 #include "lqdb/cwdb/mapping.h"
 #include "lqdb/engine/engine.h"
-#include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
-#include "lqdb/exact/parallel.h"
 #include "lqdb/util/table.h"
 
 namespace {
@@ -102,11 +100,11 @@ void BM_PerCandidateBaseline(benchmark::State& state) {
 BENCHMARK(BM_PerCandidateBaseline)->DenseRange(4, 7, 1)
     ->Unit(benchmark::kMillisecond);
 
-// The per-image inner loop head-to-head: the batched evaluator ("exact")
-// vs the compiled relational-algebra plan ("ra-exact") on identical
-// enumeration work. The two rows differ only in their registry name, so
-// `tools/collect_bench.py` pairs "…/ra-exact/N" with "…/exact/N" within
-// one snapshot and prints the speedup column.
+// The per-image inner loop head-to-head: the batched evaluator
+// ("batched-exact", row name ".../exact" for cross-snapshot continuity) vs
+// the compiled relational-algebra plan ("ra-exact") on identical
+// enumeration work, so `tools/collect_bench.py` pairs "…/ra-exact/N" with
+// "…/exact/N" within one snapshot and prints the speedup column.
 void InnerLoopEngine(benchmark::State& state, const char* engine_name) {
   auto lb = MakeDb(static_cast<int>(state.range(0)));
   Query q = MustParse(lb.get(), kQuery);
@@ -119,7 +117,7 @@ void InnerLoopEngine(benchmark::State& state, const char* engine_name) {
       static_cast<double>(engine->last_mappings_examined());
 }
 void BM_InnerLoopExact(benchmark::State& state) {
-  InnerLoopEngine(state, "exact");
+  InnerLoopEngine(state, "batched-exact");
 }
 void BM_InnerLoopRaExact(benchmark::State& state) {
   InnerLoopEngine(state, "ra-exact");
@@ -132,7 +130,7 @@ BENCHMARK(BM_InnerLoopRaExact)->Name("BM_InnerLoop/ra-exact")
 void BM_AllFunctions(benchmark::State& state) {
   auto lb = MakeDb(static_cast<int>(state.range(0)));
   Query q = MustParse(lb.get(), kQuery);
-  BruteForceEvaluator brute(lb.get());
+  ExactEvaluator brute(lb.get(), {}, ExactSweep::kBrute);
   for (auto _ : state) {
     auto answer = brute.Answer(q);
     benchmark::DoNotOptimize(answer);
@@ -152,9 +150,8 @@ BENCHMARK(BM_AllFunctions)->DenseRange(4, 6, 1)
 void BM_ParallelCanonical(benchmark::State& state) {
   auto lb = MakeDb(9);
   Query q = MustParse(lb.get(), kQuery);
-  ParallelExactOptions options;
-  options.threads = static_cast<int>(state.range(0));
-  ParallelExactEvaluator parallel(lb.get(), options);
+  ExactEvaluator parallel(lb.get(), {}, ExactSweep::kParallel,
+                          static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto answer = parallel.Answer(q);
     benchmark::DoNotOptimize(answer);
@@ -183,7 +180,7 @@ void PrintSummaryTable() {
     double canonical_s =
         Seconds([&] { canonical = exact.Answer(q).value(); });
 
-    BruteForceEvaluator brute(lb.get());
+    ExactEvaluator brute(lb.get(), {}, ExactSweep::kBrute);
     Relation brute_answer(0);
     double brute_s =
         Seconds([&] { brute_answer = brute.Answer(q).value(); });
@@ -220,9 +217,7 @@ void PrintSummaryTable() {
                         std::to_string(exact.last_mappings_examined()),
                         FormatDouble(sequential_s, 4), "1.00x", "yes"});
   for (int threads : {1, 2, 4, 8}) {
-    ParallelExactOptions options;
-    options.threads = threads;
-    ParallelExactEvaluator parallel(lb.get(), options);
+    ExactEvaluator parallel(lb.get(), {}, ExactSweep::kParallel, threads);
     Relation answer(0);
     double t = Seconds([&] { answer = parallel.Answer(q).value(); });
     threads_table.AddRow(
@@ -245,7 +240,7 @@ void PrintSummaryTable() {
   for (int constants : {5, 6, 7, 8}) {
     auto batched_lb = MakeDb(constants);
     Query batched_q = MustParse(batched_lb.get(), kQuery);
-    ExactEvaluator engine(batched_lb.get());
+    ExactEvaluator engine(batched_lb.get(), {}, ExactSweep::kBatched);
     Relation batched(0);
     double batched_s = Seconds([&] { batched = engine.Answer(batched_q).value(); });
     Relation legacy(0);

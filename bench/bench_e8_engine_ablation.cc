@@ -79,12 +79,11 @@ BENCHMARK(BM_Engine)
 // A half-unknown database large enough (1540 canonical mappings) that the
 // enumeration dominates, with a positive query so no engine can exit early
 // — measuring the full cost Theorem 1 pays and how it splits across
-// threads. Arg 0 selects sequential "exact"; arg N ≥ 1 selects
-// "parallel-exact" with N threads. Both engines sweep the surviving
-// candidate set against each image database in one batched
-// `SatisfiesBatch` call, and the parallel engine schedules ranges by work
-// stealing, so these rows also track the shared batched path's health
-// across PR snapshots.
+// threads. Arg 0 selects the serial batched sweep; arg N ≥ 1 selects
+// "parallel-exact" with N threads, which checks each image with the
+// compiled plan and schedules ranges by work stealing (it ran the batched
+// check before the Theorem 1 drivers were unified, so rows N ≥ 1 change
+// meaning from that snapshot on).
 std::unique_ptr<CwDatabase> MakeEnumerationHeavyDb() {
   auto lb = std::make_unique<CwDatabase>();
   for (int i = 0; i < 4; ++i) {

@@ -6,7 +6,7 @@
 #include "lqdb/cwdb/ph.h"
 #include "lqdb/engine/engine.h"
 #include "lqdb/eval/evaluator.h"
-#include "lqdb/exact/ra_exact.h"
+#include "lqdb/exact/exact.h"
 
 namespace lqdb {
 namespace {
@@ -27,34 +27,15 @@ class EngineBase : public QueryEngine {
   EngineCapabilities capabilities_;
 };
 
-class BruteEngine : public EngineBase {
+/// The one Theorem 1 adapter behind every exact registry name; the name
+/// only picks the sweep's parameters (`ExactSweep`).
+class TheoremOneEngine : public EngineBase {
  public:
-  BruteEngine(std::string name, EngineCapabilities caps, const CwDatabase* lb,
-              const BruteOptions& options)
-      : EngineBase(std::move(name), caps), impl_(lb, options) {}
-
-  Result<Relation> Answer(const Query& query) override {
-    return impl_.Answer(query);
-  }
-  Result<bool> Contains(const Query& query, const Tuple& candidate) override {
-    return impl_.Contains(query, candidate);
-  }
-  uint64_t last_mappings_examined() const override {
-    return impl_.last_mappings_examined();
-  }
-  KernelMemoCounters last_memo_counters() const override {
-    return impl_.last_memo_counters();
-  }
-
- private:
-  BruteForceEvaluator impl_;
-};
-
-class ExactEngine : public EngineBase {
- public:
-  ExactEngine(std::string name, EngineCapabilities caps, const CwDatabase* lb,
-              const ExactOptions& options)
-      : EngineBase(std::move(name), caps), impl_(lb, options) {}
+  TheoremOneEngine(std::string name, EngineCapabilities caps,
+                   const CwDatabase* lb, const ExactOptions& options,
+                   ExactSweep sweep, int threads)
+      : EngineBase(std::move(name), caps),
+        impl_(lb, options, sweep, threads) {}
 
   Result<Relation> Answer(const Query& query) override {
     return impl_.Answer(query);
@@ -66,9 +47,15 @@ class ExactEngine : public EngineBase {
     return impl_.Contains(query, candidate);
   }
   Result<Relation> PossibleAnswer(const Query& query) override {
+    if (!capabilities().supports_possible) {
+      return QueryEngine::PossibleAnswer(query);
+    }
     return impl_.PossibleAnswer(query);
   }
   Result<Relation> PossibleAnswerBound(const BoundQuery& bound) override {
+    if (!capabilities().supports_possible) {
+      return QueryEngine::PossibleAnswerBound(bound);
+    }
     return impl_.PossibleAnswerBound(bound);
   }
   uint64_t last_mappings_examined() const override {
@@ -80,71 +67,6 @@ class ExactEngine : public EngineBase {
 
  private:
   ExactEvaluator impl_;
-};
-
-class ParallelExactEngine : public EngineBase {
- public:
-  ParallelExactEngine(std::string name, EngineCapabilities caps,
-                      const CwDatabase* lb,
-                      const ParallelExactOptions& options)
-      : EngineBase(std::move(name), caps), impl_(lb, options) {}
-
-  Result<Relation> Answer(const Query& query) override {
-    return impl_.Answer(query);
-  }
-  Result<Relation> AnswerBound(const BoundQuery& bound) override {
-    return impl_.AnswerBound(bound);
-  }
-  Result<bool> Contains(const Query& query, const Tuple& candidate) override {
-    return impl_.Contains(query, candidate);
-  }
-  Result<Relation> PossibleAnswer(const Query& query) override {
-    return impl_.PossibleAnswer(query);
-  }
-  Result<Relation> PossibleAnswerBound(const BoundQuery& bound) override {
-    return impl_.PossibleAnswerBound(bound);
-  }
-  uint64_t last_mappings_examined() const override {
-    return impl_.last_mappings_examined();
-  }
-  KernelMemoCounters last_memo_counters() const override {
-    return impl_.last_memo_counters();
-  }
-
- private:
-  ParallelExactEvaluator impl_;
-};
-
-class RaExactEngine : public EngineBase {
- public:
-  RaExactEngine(std::string name, EngineCapabilities caps,
-                const CwDatabase* lb, const ExactOptions& options)
-      : EngineBase(std::move(name), caps), impl_(lb, options) {}
-
-  Result<Relation> Answer(const Query& query) override {
-    return impl_.Answer(query);
-  }
-  Result<Relation> AnswerBound(const BoundQuery& bound) override {
-    return impl_.AnswerBound(bound);
-  }
-  Result<bool> Contains(const Query& query, const Tuple& candidate) override {
-    return impl_.Contains(query, candidate);
-  }
-  Result<Relation> PossibleAnswer(const Query& query) override {
-    return impl_.PossibleAnswer(query);
-  }
-  Result<Relation> PossibleAnswerBound(const BoundQuery& bound) override {
-    return impl_.PossibleAnswerBound(bound);
-  }
-  uint64_t last_mappings_examined() const override {
-    return impl_.last_mappings_examined();
-  }
-  KernelMemoCounters last_memo_counters() const override {
-    return impl_.last_memo_counters();
-  }
-
- private:
-  RaExactEvaluator impl_;
 };
 
 class ApproxQueryEngine : public EngineBase {
@@ -208,63 +130,43 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
     (void)s;  // only fails on duplicate registration, which is idempotent
   };
 
-  {
+  // The Theorem 1 engines. "exact" (and its alias "ra-exact") checks each
+  // image with the query's compiled relational-algebra plan — measured
+  // 1.5–10x faster than the batched Tarskian sweep on the E10 large-world
+  // join rows — and silently takes the batched checker for queries outside
+  // the compilable first-order fragment; "batched-exact" keeps the batched
+  // checker for benches and ablations. Brute's possible answer is not part
+  // of its registered contract.
+  struct TheoremOneName {
+    const char* name;
+    ExactSweep sweep;
+    bool supports_possible;
+  };
+  const TheoremOneName kTheoremOne[] = {
+      {"brute", ExactSweep::kBrute, false},
+      {"exact", ExactSweep::kExact, true},
+      {"ra-exact", ExactSweep::kExact, true},
+      {"batched-exact", ExactSweep::kBatched, true},
+      {"parallel-exact", ExactSweep::kParallel, true},
+  };
+  for (const TheoremOneName& entry : kTheoremOne) {
     EngineCapabilities caps;
     caps.sound = true;
     caps.complete = true;
+    caps.supports_possible = entry.supports_possible;
     must_register(
-        "brute", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
+        entry.name, caps,
+        [caps, entry](CwDatabase* lb, const EngineOptions& options)
             -> Result<std::unique_ptr<QueryEngine>> {
-          return std::unique_ptr<QueryEngine>(
-              new BruteEngine("brute", caps, lb, options.brute));
-        });
-  }
-  {
-    EngineCapabilities caps;
-    caps.sound = true;
-    caps.complete = true;
-    caps.supports_possible = true;
-    // "exact" routes to the compiled-RA engine: same Theorem 1 semantics,
-    // same answers bit-for-bit (the differential suite pins this on every
-    // instance), but the per-image check is a cached relational-algebra
-    // plan instead of the batched Tarskian sweep — measured 1.5–10x faster
-    // on the E10 large-world join rows. Queries outside the compilable
-    // first-order fragment silently take the evaluator fallback inside
-    // `RaExactEvaluator`, so coverage is unchanged.
-    must_register(
-        "exact", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
-            -> Result<std::unique_ptr<QueryEngine>> {
-          return std::unique_ptr<QueryEngine>(
-              new RaExactEngine("exact", caps, lb, options.exact));
-        });
-    // The batched Tarskian sweep under its explicit name, so benches and
-    // ablations can compare against it regardless of what "exact" resolves
-    // to (see the E10 rows and README "Engines").
-    must_register(
-        "batched-exact", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
-            -> Result<std::unique_ptr<QueryEngine>> {
-          return std::unique_ptr<QueryEngine>(
-              new ExactEngine("batched-exact", caps, lb, options.exact));
-        });
-    must_register(
-        "parallel-exact", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
-            -> Result<std::unique_ptr<QueryEngine>> {
-          ParallelExactOptions parallel;
-          parallel.base = options.exact;
-          parallel.threads = options.threads;
-          return std::unique_ptr<QueryEngine>(new ParallelExactEngine(
-              "parallel-exact", caps, lb, parallel));
-        });
-    must_register(
-        "ra-exact", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
-            -> Result<std::unique_ptr<QueryEngine>> {
-          return std::unique_ptr<QueryEngine>(
-              new RaExactEngine("ra-exact", caps, lb, options.exact));
+          ExactOptions exact = options.exact;
+          if (entry.sweep == ExactSweep::kBrute) {
+            exact.max_mappings = options.brute.max_mappings;
+            exact.memo = options.brute.memo;
+            exact.memo_max_entries = options.brute.memo_max_entries;
+            exact.eval = options.brute.eval;
+          }
+          return std::unique_ptr<QueryEngine>(new TheoremOneEngine(
+              entry.name, caps, lb, exact, entry.sweep, options.threads));
         });
   }
   {

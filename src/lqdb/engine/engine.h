@@ -14,7 +14,6 @@
 #include "lqdb/eval/bound_query.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
-#include "lqdb/exact/parallel.h"
 #include "lqdb/logic/query.h"
 #include "lqdb/relational/relation.h"
 #include "lqdb/util/result.h"
@@ -54,7 +53,7 @@ struct EngineOptions {
   ExactOptions exact;
   BruteOptions brute;
   ApproxOptions approx;
-  /// Worker threads for parallel engines; 0 means hardware concurrency.
+  /// Worker threads of `parallel-exact`; 0 means hardware concurrency.
   int threads = 0;
 };
 
@@ -77,7 +76,7 @@ class QueryEngine {
   /// the service layer. The binding (and the query it borrows) must outlive
   /// the call and is only read. The default re-enters `Answer` on the
   /// underlying query; Theorem 1 engines override it to skip re-binding
-  /// (and, for ra-exact, re-compiling).
+  /// and re-compiling.
   virtual Result<Relation> AnswerBound(const BoundQuery& bound);
 
   /// `PossibleAnswer` over a pre-bound query (see `AnswerBound`).
@@ -106,9 +105,8 @@ class QueryEngine {
 using EngineFactory = std::function<Result<std::unique_ptr<QueryEngine>>(
     CwDatabase* lb, const EngineOptions& options)>;
 
-/// A string-keyed registry of engine factories. The builtin engines
-/// ("brute", "exact", "parallel-exact", "ra-exact", "approx", "physical")
-/// are registered on first access of `Global()`; libraries and tests may
+/// A string-keyed registry of engine factories. The builtin engines (see
+/// `RegisterBuiltinEngines`) are registered on first access of `Global()`; libraries and tests may
 /// register more — a registered engine is automatically reachable from the
 /// shell (`set engine NAME`), the benches and the differential harness.
 class EngineRegistry {
@@ -145,15 +143,21 @@ class EngineRegistry {
 };
 
 /// Registers the builtin engines into `registry` (idempotent per registry;
-/// called by `EngineRegistry::Global()`):
+/// called by `EngineRegistry::Global()`). The five Theorem 1 names share
+/// one adapter over `ExactEvaluator`, each fixing the sweep's mapping
+/// source, per-image checker and scheduler (`ExactSweep`):
 ///
-///   - "brute"          — all mappings `h : C → C` (Theorem 1 literally)
-///   - "exact"          — canonical kernel-partition enumeration
-///   - "parallel-exact" — canonical enumeration fanned across threads
-///   - "ra-exact"       — canonical enumeration with the per-image check
-///                        compiled to a cached relational-algebra plan
-///                        (first-order fragment; falls back to the batched
-///                        evaluator for second-order queries)
+///   - "brute"          — every mapping `h : C → C` (Theorem 1 literally),
+///                        compiled checker, serial; no possible answer
+///   - "exact"          — canonical kernel-partition mappings, the
+///                        query's compiled relational-algebra plan as the
+///                        checker (the batched evaluator for second-order
+///                        queries), serial
+///   - "ra-exact"       — an alias of "exact"
+///   - "batched-exact"  — canonical mappings, batched Tarskian checker,
+///                        serial
+///   - "parallel-exact" — canonical mappings, compiled checker, work
+///                        stealing over `EngineOptions::threads` workers
 ///   - "approx"         — the §5 sound polynomial approximation
 ///   - "physical"       — naive evaluation over `Ph₁` (ignores nulls;
 ///                        neither sound nor complete — a baseline)

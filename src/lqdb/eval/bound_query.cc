@@ -6,6 +6,7 @@
 
 #include "lqdb/logic/formula.h"
 #include "lqdb/ra/compiler.h"
+#include "lqdb/ra/validate.h"
 
 namespace lqdb {
 
@@ -52,22 +53,48 @@ Status BoundQuery::CompileRaPlan(const Vocabulary& vocab,
   ra_attempted_ = true;
   RaCompiler compiler(&vocab, stats == nullptr ? RaCardinalities() : *stats);
   Result<PlanPtr> plan = compiler.Compile(*query_);
-  if (plan.ok()) {
-    ra_plan_ = std::move(plan).value();
-  } else {
+  if (!plan.ok()) {
     ra_status_ = plan.status();
+    return ra_status_;
   }
+  ReducedPlan reduced;
+  Result<ReducedPlan> red = SemijoinReduce(*plan);
+  if (red.ok()) {
+    reduced = std::move(red).value();
+  } else {
+    reduced.plan = *plan;  // null param → the sweep runs the plan unreduced
+  }
+#ifndef NDEBUG
+  // Debug builds statically validate every plan shape the Theorem 1 sweep
+  // is about to execute; the differential suite additionally validates
+  // every plan of its instance pool in all build modes.
+  PlanValidateOptions vopts;
+  vopts.vocab = &vocab;
+  Status verdict = ValidatePlan(*plan, vopts);
+  if (verdict.ok()) {
+    vopts.param = reduced.param.get();
+    verdict = ValidatePlan(reduced.plan, vopts);
+  }
+  if (!verdict.ok()) {
+    ra_status_ = Status::Internal("compiled plan failed static validation: " +
+                                  verdict.message());
+    return ra_status_;
+  }
+#endif
+  set_ra_plan(std::move(plan).value(), std::move(reduced));
   return ra_status_;
 }
 
-void BoundQuery::set_ra_plan(PlanPtr plan) {
+void BoundQuery::set_ra_plan(PlanPtr plan, ReducedPlan reduced) {
   ra_plan_ = std::move(plan);
+  ra_reduced_ = std::move(reduced);
   ra_attempted_ = true;
   ra_status_ = Status::OK();
 }
 
 void BoundQuery::set_ra_uncompilable(Status why) {
   ra_plan_ = nullptr;
+  ra_reduced_ = {};
   ra_attempted_ = true;
   ra_status_ = std::move(why);
 }

@@ -5,6 +5,7 @@
 
 #include "lqdb/logic/query.h"
 #include "lqdb/ra/plan.h"
+#include "lqdb/ra/semijoin.h"
 #include "lqdb/util/result.h"
 
 namespace lqdb {
@@ -53,17 +54,20 @@ class BoundQuery {
   const std::vector<PredId>& predicates() const { return predicates_; }
 
   /// Compiles the query to a relational-algebra plan over `vocab` (see
-  /// `RaCompiler`), caching the outcome in the binding: later calls return
-  /// the first status without recompiling. On failure — `Unimplemented`
-  /// for second-order bodies — `ra_plan()` stays null, and callers fall
-  /// back to the batched evaluator path. `stats` (optional) drives the
-  /// compiler's join ordering.
+  /// `RaCompiler`) together with its semijoin reduction (see
+  /// `SemijoinReduce`), caching the outcome in the binding: later calls
+  /// return the first status without recompiling. On failure —
+  /// `Unimplemented` for second-order bodies — `ra_plan()` stays null, and
+  /// callers fall back to the batched evaluator path. Debug builds also run
+  /// the static plan validator (ra/validate.h) on both plans; a plan that
+  /// fails it is a compiler bug, reported as `Internal` with no plan kept.
+  /// `stats` (optional) drives the compiler's join ordering.
   Status CompileRaPlan(const Vocabulary& vocab,
                        const RaCardinalities* stats = nullptr);
 
-  /// Seeds the plan slot from an external cache; the plan must have been
-  /// compiled from this binding's query (same query identity).
-  void set_ra_plan(PlanPtr plan);
+  /// Seeds the plan slots from an external cache; both plans must have
+  /// come from `CompileRaPlan` on a binding of the same query identity.
+  void set_ra_plan(PlanPtr plan, ReducedPlan reduced);
 
   /// Marks the query as known non-compilable without paying for a compile
   /// (the cached-failure twin of `set_ra_plan`).
@@ -72,10 +76,20 @@ class BoundQuery {
   /// The compiled plan; null when compilation has not run or failed.
   const PlanPtr& ra_plan() const { return ra_plan_; }
 
+  /// The semijoin-reduced form of `ra_plan()` that the Theorem 1 sweep
+  /// runs with the open candidates bound to `param`. A null `param`
+  /// (arity-0 plan, or the reduction failed) means "run `plan` unreduced".
+  /// Owned by the binding, so it lives exactly as long as the plan it
+  /// was derived from.
+  const ReducedPlan& ra_reduced() const { return ra_reduced_; }
+
   /// Whether a compilation outcome (success or cached failure) is recorded;
   /// a prepared statement with `ra_attempted()` carries everything the
-  /// ra-exact engine needs, so it can skip its own plan-cache lookup.
+  /// compiled sweep needs, so it can skip its own plan-cache lookup.
   bool ra_attempted() const { return ra_attempted_; }
+
+  /// The recorded compilation outcome (OK when a plan is present).
+  const Status& ra_status() const { return ra_status_; }
 
  private:
   explicit BoundQuery(const Query* query) : query_(query) {}
@@ -85,6 +99,7 @@ class BoundQuery {
   std::vector<PredId> so_predicates_;
   std::vector<PredId> predicates_;
   PlanPtr ra_plan_;
+  ReducedPlan ra_reduced_;
   bool ra_attempted_ = false;
   Status ra_status_;
 };

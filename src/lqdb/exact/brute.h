@@ -12,6 +12,8 @@
 
 namespace lqdb {
 
+/// Options of the `brute` registry engine (`ExactSweep::kBrute`); the
+/// engine takes the remaining `ExactOptions` fields from the `exact` ones.
 struct BruteOptions {
   /// Hard cap on the number of mappings (|C|^|C| grows fast).
   uint64_t max_mappings = 50'000'000;
@@ -29,30 +31,6 @@ struct BruteOptions {
 /// mantissa and misclassifies budgets near the threshold for large |C|.
 /// `SaturatingPower(0, 0) == 1`, matching the one (empty) mapping.
 uint64_t SaturatingPower(uint64_t base, uint64_t exp);
-
-/// Literal Theorem 1 evaluation: quantifies over *all* mappings `h : C → C`
-/// respecting the uniqueness axioms, with no partition canonicalization.
-/// Exponentially redundant; exists to cross-validate `ExactEvaluator`
-/// (tests) and to quantify the win of canonicalization (bench E7).
-class BruteForceEvaluator {
- public:
-  explicit BruteForceEvaluator(const CwDatabase* lb, BruteOptions options = {})
-      : lb_(lb), options_(options) {}
-
-  Result<Relation> Answer(const Query& query);
-  Result<bool> Contains(const Query& query, const Tuple& candidate);
-
-  uint64_t last_mappings_examined() const { return last_mappings_; }
-
-  /// Kernel-memo counters of the most recent call (zeros with memo off).
-  const KernelMemoCounters& last_memo_counters() const { return last_memo_; }
-
- private:
-  const CwDatabase* lb_;
-  BruteOptions options_;
-  uint64_t last_mappings_ = 0;
-  KernelMemoCounters last_memo_;
-};
 
 struct ModelEnumOptions {
   /// Upper bound on the estimated number of candidate interpretations.

@@ -1,6 +1,12 @@
 #include "lqdb/exact/exact.h"
 
-#include <optional>
+#include <atomic>
+#include <numeric>
+
+#include "lqdb/exact/brute.h"
+#include "lqdb/logic/printer.h"
+#include "lqdb/ra/executor.h"
+#include "lqdb/util/annotations.h"
 
 namespace lqdb {
 
@@ -36,272 +42,515 @@ std::vector<Tuple> AllCandidateTuples(size_t arity, ConstId n) {
   return out;
 }
 
-Status EvalCandidatesUnderMapping(Evaluator* eval, const BoundQuery& bound,
-                                  const ConstMapping& h,
-                                  const std::vector<Tuple>& candidates,
-                                  const uint32_t* subset, size_t count,
-                                  CandidateBatch* batch) {
-  const size_t arity = bound.arity();
-  batch->values.resize(count * arity);
-  for (size_t k = 0; k < count; ++k) {
-    const Tuple& c = candidates[subset == nullptr ? k : subset[k]];
-    Value* row = batch->values.data() + k * arity;
-    for (size_t i = 0; i < arity; ++i) row[i] = h[c[i]];
+RaCardinalities JoinStatsFor(const CwDatabase& lb, size_t dp_join_cap) {
+  RaCardinalities stats;
+  stats.domain_size = static_cast<double>(lb.num_constants());
+  stats.relation_sizes.assign(lb.vocab().num_predicates(), 0.0);
+  for (PredId p : lb.PredicatesWithFacts()) {
+    stats.relation_sizes[p] = static_cast<double>(lb.facts(p).size());
   }
-  return eval->SatisfiesBatch(bound, batch->values.data(), count,
-                              &batch->verdicts);
+  stats.dp_join_cap = dp_join_cap;
+  return stats;
 }
 
-Status MemoEvalCandidatesUnderMapping(Evaluator* eval, const CwDatabase& lb,
-                                      PhysicalDatabase* image,
-                                      const BoundQuery& bound,
-                                      const ConstMapping& h,
-                                      const std::vector<Tuple>& candidates,
-                                      const uint32_t* subset, size_t count,
-                                      CandidateBatch* batch,
-                                      const KernelMemoSweep& memo) {
-  if (memo.memo == nullptr || !memo.memo->enabled()) {
-    ApplyMappingInto(lb, h, image);
-    return EvalCandidatesUnderMapping(eval, bound, h, candidates, subset,
-                                      count, batch);
-  }
-  const size_t arity = bound.arity();
-  MemoSweepScratch& s = *memo.scratch;
-  memo.ctx->SignatureOf(h, &s.sig);
-  const uint32_t sig_id = memo.memo->InternSignature(s.sig.sig);
+namespace {
 
-  batch->verdicts.resize(count);
-  s.rows.resize(count * arity);
-  s.miss_local.clear();
-  for (size_t k = 0; k < count; ++k) {
-    const Tuple& c = candidates[subset == nullptr ? k : subset[k]];
-    Value* row = s.rows.data() + k * arity;
-    for (size_t i = 0; i < arity; ++i) row[i] = s.sig.relabel[h[c[i]]];
-    const int verdict = memo.memo->LookupRow(sig_id, row, arity);
-    if (verdict < 0) {
-      s.miss_local.push_back(static_cast<uint32_t>(k));
+/// The work-stealing scheduler's tuning: the space is pre-split into about
+/// `threads * kRangesPerThread` ranges, and a worker walks at most
+/// `kStealChunk` mappings of a range before donating the rest, so a skewed
+/// range never serializes more than that on one worker.
+constexpr size_t kRangesPerThread = 8;
+constexpr uint64_t kStealChunk = 64;
+
+Status BudgetExceeded(uint64_t max_mappings) {
+  return Status::ResourceExhausted("exceeded max_mappings = " +
+                                   std::to_string(max_mappings));
+}
+
+/// One worker's per-image check: the kernel memo first — when every open
+/// candidate's verdict is already known the image is never built — then
+/// the image of `h` and one checker call over the misses only, whose
+/// verdicts are recorded in the memo.
+class ImageCheck {
+ public:
+  ImageCheck(const CwDatabase& lb, const BoundQuery& bound,
+             const ReducedPlan* plan, const EvalOptions& eval,
+             KernelMemo* memo, const KernelSignatureContext* ctx)
+      : lb_(lb),
+        bound_(bound),
+        plan_(plan),
+        image_(&lb.vocab()),
+        eval_(&image_, eval),
+        exec_(&image_),
+        memo_(memo),
+        ctx_(ctx) {}
+
+  // `eval_` and `exec_` hold the address of `image_`.
+  ImageCheck(const ImageCheck&) = delete;
+  ImageCheck& operator=(const ImageCheck&) = delete;
+
+  /// Sets `verdicts()[k]` to the truth of `candidates[open[k]]` in the
+  /// image of `h`. A memo-served verdict is as good as a computed one: the
+  /// image it came from is isomorphic to this one.
+  Status Run(const ConstMapping& h, const std::vector<Tuple>& candidates,
+             const std::vector<uint32_t>& open) {
+    const size_t arity = bound_.arity();
+    const size_t count = open.size();
+    verdicts_.resize(count);
+    miss_.clear();
+    uint32_t sig_id = 0;
+    if (memo_ != nullptr) {
+      ctx_->SignatureOf(h, &sig_);
+      sig_id = memo_->InternSignature(sig_.sig);
+      keys_.resize(count * arity);
+      for (size_t k = 0; k < count; ++k) {
+        const Tuple& c = candidates[open[k]];
+        Value* key = keys_.data() + k * arity;
+        for (size_t i = 0; i < arity; ++i) key[i] = sig_.relabel[h[c[i]]];
+        const int verdict = memo_->LookupRow(sig_id, key, arity);
+        if (verdict < 0) {
+          miss_.push_back(static_cast<uint32_t>(k));
+        } else {
+          verdicts_[k] = static_cast<char>(verdict);
+        }
+      }
+      memo_->CountLookups(count - miss_.size(), miss_.size());
+      if (miss_.empty()) {
+        memo_->CountImageSkipped();
+        return Status::OK();
+      }
     } else {
-      batch->verdicts[k] = static_cast<char>(verdict);
+      miss_.resize(count);
+      std::iota(miss_.begin(), miss_.end(), 0u);
     }
-  }
-  memo.memo->CountLookups(count - s.miss_local.size(), s.miss_local.size());
-  if (s.miss_local.empty()) {
-    memo.memo->CountImageSkipped();
+
+    ApplyMappingInto(lb_, h, &image_);
+    const size_t misses = miss_.size();
+    rows_.resize(misses * arity);
+    for (size_t j = 0; j < misses; ++j) {
+      const Tuple& c = candidates[open[miss_[j]]];
+      for (size_t i = 0; i < arity; ++i) rows_[j * arity + i] = h[c[i]];
+    }
+    LQDB_RETURN_IF_ERROR(CheckMisses(misses));
+    for (size_t j = 0; j < misses; ++j) {
+      const uint32_t k = miss_[j];
+      const bool verdict = miss_verdicts_[j] != 0;
+      verdicts_[k] = static_cast<char>(verdict);
+      if (memo_ != nullptr) {
+        memo_->InsertRow(sig_id, keys_.data() + k * arity, arity, verdict);
+      }
+    }
     return Status::OK();
   }
 
-  ApplyMappingInto(lb, h, image);
-  s.miss_subset.resize(s.miss_local.size());
-  for (size_t j = 0; j < s.miss_local.size(); ++j) {
-    const uint32_t k = s.miss_local[j];
-    s.miss_subset[j] = subset == nullptr ? k : subset[k];
+  const std::vector<char>& verdicts() const { return verdicts_; }
+
+ private:
+  /// The checker: `rows_` holds `count` mapped candidates; fills
+  /// `miss_verdicts_` with their membership in `Q(image_)`.
+  Status CheckMisses(size_t count) {
+    if (plan_ == nullptr) {
+      return eval_.SatisfiesBatch(bound_, rows_.data(), count,
+                                  &miss_verdicts_);
+    }
+    // Binding only the misses is sound: the semijoin contract guarantees
+    // membership answers for exactly the rows in the parameter set.
+    if (plan_->param != nullptr) {
+      exec_.BindParam(plan_->param.get(), rows_.data(), count);
+    }
+    LQDB_ASSIGN_OR_RETURN(const RaTableView* table,
+                          exec_.ExecuteView(plan_->plan));
+    const size_t arity = bound_.arity();
+    miss_verdicts_.resize(count);
+    for (size_t j = 0; j < count; ++j) {
+      miss_verdicts_[j] =
+          static_cast<char>(table->rows.Contains(rows_.data() + j * arity));
+    }
+    return Status::OK();
   }
-  LQDB_RETURN_IF_ERROR(EvalCandidatesUnderMapping(
-      eval, bound, h, candidates, s.miss_subset.data(), s.miss_subset.size(),
-      &s.miss_batch));
-  for (size_t j = 0; j < s.miss_local.size(); ++j) {
-    const uint32_t k = s.miss_local[j];
-    const bool verdict = s.miss_batch.verdicts[j] != 0;
-    batch->verdicts[k] = static_cast<char>(verdict);
-    memo.memo->InsertRow(sig_id, s.rows.data() + k * arity, arity, verdict);
+
+  const CwDatabase& lb_;
+  const BoundQuery& bound_;
+  const ReducedPlan* plan_;  // null: the batched evaluator
+  PhysicalDatabase image_;
+  Evaluator eval_;
+  RaExecutor exec_;
+  KernelMemo* memo_;  // null with the memo off
+  const KernelSignatureContext* ctx_;
+  KernelSignatureScratch sig_;
+  std::vector<Value> keys_;      // memo-relabeled rows, count × arity
+  std::vector<uint32_t> miss_;   // positions in `open` the memo missed
+  std::vector<Value> rows_;      // mapped rows of the misses
+  std::vector<char> miss_verdicts_;
+  std::vector<char> verdicts_;   // per open candidate, set by Run
+};
+
+/// Query identity for the plan cache: head order + printed body.
+std::string CacheKey(const Vocabulary& vocab, const Query& query) {
+  std::string key = "(";
+  for (size_t i = 0; i < query.head().size(); ++i) {
+    if (i > 0) key += ", ";
+    key += vocab.VariableName(query.head()[i]);
   }
-  return Status::OK();
+  key += ") . ";
+  key += PrintFormula(vocab, query.body());
+  return key;
+}
+
+}  // namespace
+
+/// The work-stealing scheduler of one `kParallel` sweep: the shared range
+/// queue, the cooperative stop flag, the global mapping budget and the
+/// first error. The queue is seeded by `SplitCanonicalMappingSpace`; a
+/// worker takes the largest remaining range (the shallowest RGS prefix
+/// covers the most partitions), walks at most `kStealChunk` mappings of it
+/// with `ForEachCanonicalMappingChunk`, and pushes the unvisited remainder
+/// back for idle workers. Idle workers block on the queue's condition
+/// variable; the fan-out ends when the queue is empty with no worker
+/// mid-chunk, or when the stop flag rises.
+class ExactEvaluator::Walk {
+ public:
+  Walk(const CwDatabase* lb, ThreadPool* pool, uint64_t max_mappings)
+      : lb_(lb), pool_(pool), max_mappings_(max_mappings) {
+    queue_ = SplitCanonicalMappingSpace(
+        *lb, static_cast<size_t>(pool->num_threads()) * kRangesPerThread);
+    worker_ranges_.assign(pool->num_threads(), 0);
+  }
+
+  /// Runs `per_mapping(worker, h)` over every canonical mapping, fanned
+  /// across the pool; `per_mapping` returns false to abort the whole walk
+  /// (after calling `Stop()` or `RecordError()` so other workers stand
+  /// down). Blocks until all workers finish.
+  template <typename PerMapping>
+  void Run(const PerMapping& per_mapping) {
+    pool_->FanOut([this, &per_mapping](int w) { Worker(w, per_mapping); });
+  }
+
+  void Stop() {
+    stop_.store(true, std::memory_order_relaxed);
+    // Empty critical section: a waiter either sees the flag before
+    // sleeping or is woken by the notify below (no lost wakeup).
+    { MutexLock lock(queue_mu_); }
+    queue_cv_.NotifyAll();
+  }
+  bool stopped() const { return stop_.load(std::memory_order_relaxed); }
+
+  void RecordError(Status error) {
+    {
+      MutexLock lock(mu_);
+      if (error_.ok()) error_ = std::move(error);
+    }
+    Stop();
+  }
+
+  /// Valid after Run() returned: the fan-out's join is the happens-before
+  /// edge that makes this lock-free read safe, which the static analysis
+  /// cannot see — hence the exemption.
+  const Status& error() const NO_THREAD_SAFETY_ANALYSIS { return error_; }
+  uint64_t examined() const {
+    return examined_.load(std::memory_order_relaxed);
+  }
+  const std::vector<uint64_t>& worker_ranges() const {
+    return worker_ranges_;
+  }
+
+ private:
+  template <typename PerMapping>
+  void Worker(int index, const PerMapping& per_mapping) {
+    std::vector<MappingRange> remainder;
+    MutexLock lock(queue_mu_);
+    while (true) {
+      while (!stopped() && queue_.empty() && walking_ != 0) {
+        queue_cv_.Wait(queue_mu_, lock);
+      }
+      if (stopped() || queue_.empty()) break;  // done or nothing left
+
+      size_t best = 0;
+      for (size_t i = 1; i < queue_.size(); ++i) {
+        if (queue_[i].rgs.size() < queue_[best].rgs.size()) best = i;
+      }
+      MappingRange range = std::move(queue_[best]);
+      queue_[best] = std::move(queue_.back());
+      queue_.pop_back();
+      ++walking_;
+      lock.Unlock();
+
+      remainder.clear();
+      ForEachCanonicalMappingChunk(
+          *lb_, range, kStealChunk,
+          [&](const ConstMapping& h) {
+            if (stopped()) return false;
+            if (examined_.fetch_add(1, std::memory_order_relaxed) >=
+                max_mappings_) {
+              RecordError(BudgetExceeded(max_mappings_));
+              return false;
+            }
+            return per_mapping(index, h);
+          },
+          &remainder);
+      ++worker_ranges_[index];
+
+      lock.Lock();
+      --walking_;
+      if (stopped()) break;
+      if (!remainder.empty()) {
+        for (MappingRange& r : remainder) queue_.push_back(std::move(r));
+        queue_cv_.NotifyAll();
+      } else if (queue_.empty() && walking_ == 0) {
+        queue_cv_.NotifyAll();  // wake idlers so they can exit
+      }
+    }
+  }
+
+  const CwDatabase* lb_;
+  ThreadPool* pool_;
+  const uint64_t max_mappings_;
+  Mutex queue_mu_;
+  CondVar queue_cv_;
+  std::vector<MappingRange> queue_ GUARDED_BY(queue_mu_);
+  size_t walking_ GUARDED_BY(queue_mu_) = 0;  // workers currently mid-chunk
+  /// Indexed per worker, each slot written by exactly one worker — no
+  /// guard needed (readers wait for the fan-out's join).
+  std::vector<uint64_t> worker_ranges_;
+  std::atomic<bool> stop_{false};
+  std::atomic<uint64_t> examined_{0};
+  Mutex mu_;
+  Status error_ GUARDED_BY(mu_);
+};
+
+ExactEvaluator::ExactEvaluator(const CwDatabase* lb, ExactOptions options,
+                               ExactSweep sweep, int threads)
+    : lb_(lb), options_(options), sweep_(sweep) {
+  if (sweep == ExactSweep::kParallel) {
+    pool_ = std::make_unique<ThreadPool>(
+        threads > 0 ? threads : ThreadPool::DefaultThreads());
+  }
+}
+
+Result<BoundQuery> ExactEvaluator::Prepare(const Query& query) {
+  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
+  if (sweep_ == ExactSweep::kBatched) return bound;
+  // The join-order cap shapes the compiled plan, so it is part of the
+  // cache identity — changing the knob must not serve plans ordered under
+  // the old cap.
+  const std::string key = CacheKey(lb_->vocab(), query) +
+                          "#cap=" + std::to_string(options_.ra_dp_join_cap);
+  auto it = plan_cache_.find(key);
+  if (it == plan_cache_.end()) {
+    const RaCardinalities stats =
+        JoinStatsFor(*lb_, options_.ra_dp_join_cap);
+    // A failed compile leaves ra_plan() null → the batched checker.
+    (void)bound.CompileRaPlan(lb_->vocab(), &stats);
+    // A plan that failed validation is a compiler bug: report it and keep
+    // it out of the cache.
+    if (bound.ra_status().code() == StatusCode::kInternal) return bound;
+    plan_cache_.emplace(key, std::make_pair(bound.ra_plan(),
+                                            bound.ra_reduced()));
+  } else if (it->second.first != nullptr) {
+    bound.set_ra_plan(it->second.first, it->second.second);
+  } else {
+    bound.set_ra_uncompilable(
+        Status::Unimplemented("query is cached as uncompilable"));
+  }
+  return bound;
+}
+
+Status ExactEvaluator::Sweep(const BoundQuery& bound,
+                             const std::vector<Tuple>& candidates,
+                             bool possible, std::vector<char>* decided,
+                             ConstMapping* decisive) {
+  if (bound.ra_status().code() == StatusCode::kInternal) {
+    return bound.ra_status();
+  }
+  if (sweep_ == ExactSweep::kBrute) {
+    const uint64_t n = lb_->num_constants();
+    if (SaturatingPower(n, n) > options_.max_mappings) {
+      return Status::ResourceExhausted(
+          "|C|^|C| exceeds max_mappings; use the canonical enumeration");
+    }
+  }
+  const ReducedPlan* plan =
+      sweep_ != ExactSweep::kBatched && bound.ra_plan() != nullptr
+          ? &bound.ra_reduced()
+          : nullptr;
+  last_used_ra_ = plan != nullptr;
+  // One verdict table per call, shared by all workers: reads are
+  // lock-free and the signature context is immutable once built. Its
+  // lifetime is one call — cross-call reuse is the service layer's result
+  // cache, which also knows when the database changed.
+  KernelMemo memo(options_.memo, options_.memo_max_entries);
+  std::optional<KernelSignatureContext> ctx;
+  if (memo.enabled()) ctx.emplace(*lb_, bound.constants());
+  auto make_check = [&] {
+    return std::make_unique<ImageCheck>(*lb_, bound, plan, options_.eval,
+                                        memo.enabled() ? &memo : nullptr,
+                                        ctx ? &*ctx : nullptr);
+  };
+  decided->assign(candidates.size(), 0);
+  // A mapping decides candidate k when its verdict equals `possible`.
+  const auto decides = [possible](char verdict) {
+    return (verdict != 0) == possible;
+  };
+
+  Status error = Status::OK();
+  if (!pool_) {
+    const std::unique_ptr<ImageCheck> check = make_check();
+    const std::vector<char>& verdicts = check->verdicts();
+    std::vector<uint32_t> open(candidates.size());
+    std::iota(open.begin(), open.end(), 0u);
+    uint64_t examined = 0;
+    const MappingVisitor visit = [&](const ConstMapping& h) {
+      if (++examined > options_.max_mappings) {
+        error = BudgetExceeded(options_.max_mappings);
+        return false;
+      }
+      Status s = check->Run(h, candidates, open);
+      if (!s.ok()) {
+        error = std::move(s);
+        return false;
+      }
+      size_t kept = 0;
+      for (size_t k = 0; k < open.size(); ++k) {
+        if (!decides(verdicts[k])) {
+          open[kept++] = open[k];
+        } else {
+          (*decided)[open[k]] = 1;
+          if (decisive != nullptr) *decisive = h;
+        }
+      }
+      open.resize(kept);
+      return !open.empty();
+    };
+    if (sweep_ == ExactSweep::kBrute) {
+      ForEachMapping(*lb_, visit);
+    } else {
+      ForEachCanonicalMapping(*lb_, visit);
+    }
+    last_mappings_ = examined;
+  } else {
+    // `open[i]` is 1 while candidate i is undecided; `remaining` counts
+    // them so the last decision stops every worker. A candidate's final
+    // state is a property of the mapping space, not of the traversal
+    // order, so the answer is deterministic.
+    std::unique_ptr<std::atomic<uint8_t>[]> open(
+        new std::atomic<uint8_t>[candidates.size()]);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      open[i].store(1, std::memory_order_relaxed);
+    }
+    std::atomic<size_t> remaining{candidates.size()};
+    const int workers = pool_->num_threads();
+    std::vector<std::unique_ptr<ImageCheck>> checks;
+    for (int w = 0; w < workers; ++w) checks.push_back(make_check());
+    // Per-worker snapshot of the open candidates, retaken per mapping.
+    std::vector<std::vector<uint32_t>> snapshots(workers);
+    Walk walk(lb_, pool_.get(), options_.max_mappings);
+    walk.Run([&](int w, const ConstMapping& h) {
+      std::vector<uint32_t>& snapshot = snapshots[w];
+      snapshot.clear();
+      for (uint32_t i = 0; i < candidates.size(); ++i) {
+        if (open[i].load(std::memory_order_relaxed) != 0) {
+          snapshot.push_back(i);
+        }
+      }
+      if (snapshot.empty()) return true;  // raced with the last decision
+      Status s = checks[w]->Run(h, candidates, snapshot);
+      if (!s.ok()) {
+        walk.RecordError(std::move(s));
+        return false;
+      }
+      const std::vector<char>& verdicts = checks[w]->verdicts();
+      for (size_t k = 0; k < snapshot.size(); ++k) {
+        if (!decides(verdicts[k])) continue;
+        const uint32_t i = snapshot[k];
+        if (open[i].exchange(0, std::memory_order_relaxed) != 1) continue;
+        // Exactly one worker flips a candidate's flag, so with a single
+        // candidate exactly one worker writes `decisive`.
+        if (decisive != nullptr) *decisive = h;
+        if (remaining.fetch_sub(1, std::memory_order_relaxed) == 1) {
+          walk.Stop();  // every candidate decided — nothing left to learn
+          return false;
+        }
+      }
+      return true;
+    });
+    last_mappings_ = walk.examined();
+    last_worker_ranges_ = walk.worker_ranges();
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      (*decided)[i] = open[i].load(std::memory_order_relaxed) == 0;
+    }
+    // A fully decided candidate set is final and order-independent, so it
+    // wins over a budget error raised by a worker still mid-chunk when the
+    // last candidate fell.
+    if (remaining.load() != 0) error = walk.error();
+  }
+  last_memo_ = memo.counters();
+  return error;
+}
+
+Result<Relation> ExactEvaluator::AnswerIn(const Query& query,
+                                          const BoundQuery* bound,
+                                          bool possible) {
+  LQDB_RETURN_IF_ERROR(lb_->Validate());
+  std::optional<BoundQuery> prepared;
+  if (bound == nullptr ||
+      (sweep_ != ExactSweep::kBatched && !bound->ra_attempted())) {
+    LQDB_ASSIGN_OR_RETURN(prepared, Prepare(query));
+    bound = &*prepared;
+  }
+  const std::vector<Tuple> candidates = AllCandidateTuples(
+      bound->arity(), static_cast<ConstId>(lb_->num_constants()));
+  std::vector<char> decided;
+  LQDB_RETURN_IF_ERROR(
+      Sweep(*bound, candidates, possible, &decided, nullptr));
+  // Certain answer = never falsified; possible answer = witnessed once.
+  Relation answer(static_cast<int>(bound->arity()));
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if ((decided[i] != 0) == possible) answer.Insert(candidates[i]);
+  }
+  return answer;
+}
+
+Result<bool> ExactEvaluator::ContainsIn(
+    const Query& query, const Tuple& candidate, bool possible,
+    std::optional<Counterexample>* decisive) {
+  LQDB_RETURN_IF_ERROR(lb_->Validate());
+  LQDB_RETURN_IF_ERROR(ValidateExactCandidate(*lb_, query, candidate));
+  if (decisive != nullptr) decisive->reset();
+  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, Prepare(query));
+  std::vector<char> decided;
+  ConstMapping h;
+  LQDB_RETURN_IF_ERROR(Sweep(bound, {candidate}, possible, &decided,
+                             decisive != nullptr ? &h : nullptr));
+  if (decided[0] && decisive != nullptr) *decisive = Counterexample{h};
+  return (decided[0] != 0) == possible;
+}
+
+Result<Relation> ExactEvaluator::Answer(const Query& query) {
+  return AnswerIn(query, nullptr, /*possible=*/false);
+}
+
+Result<Relation> ExactEvaluator::AnswerBound(const BoundQuery& bound) {
+  return AnswerIn(bound.query(), &bound, /*possible=*/false);
+}
+
+Result<Relation> ExactEvaluator::PossibleAnswer(const Query& query) {
+  return AnswerIn(query, nullptr, /*possible=*/true);
+}
+
+Result<Relation> ExactEvaluator::PossibleAnswerBound(const BoundQuery& bound) {
+  return AnswerIn(bound.query(), &bound, /*possible=*/true);
 }
 
 Result<bool> ExactEvaluator::Contains(
     const Query& query, const Tuple& candidate,
     std::optional<Counterexample>* counterexample) {
-  LQDB_RETURN_IF_ERROR(lb_->Validate());
-  LQDB_RETURN_IF_ERROR(ValidateExactCandidate(*lb_, query, candidate));
-  if (counterexample != nullptr) counterexample->reset();
-  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
-
-  bool contained = true;
-  Status error = Status::OK();
-  uint64_t examined = 0;
-
-  const std::vector<Tuple> candidates = {candidate};
-  CandidateBatch batch;
-  PhysicalDatabase image(&lb_->vocab());
-  Evaluator eval(&image, options_.eval);
-  KernelMemoState memo(*lb_, bound, options_.memo, options_.memo_max_entries);
-  const KernelMemoSweep sweep = memo.sweep();
-  ForEachCanonicalMapping(*lb_, [&](const ConstMapping& h) {
-    if (++examined > options_.max_mappings) {
-      error = Status::ResourceExhausted(
-          "exceeded max_mappings = " + std::to_string(options_.max_mappings));
-      return false;
-    }
-    Status s = MemoEvalCandidatesUnderMapping(&eval, *lb_, &image, bound, h,
-                                              candidates, nullptr, 1, &batch,
-                                              sweep);
-    if (!s.ok()) {
-      error = s;
-      return false;
-    }
-    if (!batch.verdicts[0]) {
-      // A memo-served falsifying verdict still makes *this* h a genuine
-      // counterexample: its image is isomorphic to the one evaluated.
-      contained = false;
-      if (counterexample != nullptr) *counterexample = Counterexample{h};
-      return false;  // first counterexample settles membership
-    }
-    return true;
-  });
-  last_mappings_ = examined;
-  last_memo_ = memo.memo.counters();
-  if (!error.ok()) return error;
-  return contained;
+  return ContainsIn(query, candidate, /*possible=*/false, counterexample);
 }
 
 Result<bool> ExactEvaluator::IsPossible(
     const Query& query, const Tuple& candidate,
     std::optional<Counterexample>* witness) {
-  LQDB_RETURN_IF_ERROR(lb_->Validate());
-  LQDB_RETURN_IF_ERROR(ValidateExactCandidate(*lb_, query, candidate));
-  if (witness != nullptr) witness->reset();
-  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
-
-  bool possible = false;
-  Status error = Status::OK();
-  uint64_t examined = 0;
-
-  const std::vector<Tuple> candidates = {candidate};
-  CandidateBatch batch;
-  PhysicalDatabase image(&lb_->vocab());
-  Evaluator eval(&image, options_.eval);
-  KernelMemoState memo(*lb_, bound, options_.memo, options_.memo_max_entries);
-  const KernelMemoSweep sweep = memo.sweep();
-  ForEachCanonicalMapping(*lb_, [&](const ConstMapping& h) {
-    if (++examined > options_.max_mappings) {
-      error = Status::ResourceExhausted(
-          "exceeded max_mappings = " + std::to_string(options_.max_mappings));
-      return false;
-    }
-    Status s = MemoEvalCandidatesUnderMapping(&eval, *lb_, &image, bound, h,
-                                              candidates, nullptr, 1, &batch,
-                                              sweep);
-    if (!s.ok()) {
-      error = s;
-      return false;
-    }
-    if (batch.verdicts[0]) {
-      possible = true;
-      if (witness != nullptr) *witness = Counterexample{h};
-      return false;  // first satisfying model settles possibility
-    }
-    return true;
-  });
-  last_mappings_ = examined;
-  last_memo_ = memo.memo.counters();
-  if (!error.ok()) return error;
-  return possible;
-}
-
-Result<Relation> ExactEvaluator::PossibleAnswer(const Query& query) {
-  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
-  return PossibleAnswerBound(bound);
-}
-
-Result<Relation> ExactEvaluator::PossibleAnswerBound(const BoundQuery& bound) {
-  LQDB_RETURN_IF_ERROR(lb_->Validate());
-
-  const size_t arity = bound.arity();
-  const ConstId n = static_cast<ConstId>(lb_->num_constants());
-
-  // Dual pruning to Answer: candidates start *dead* and every mapping may
-  // resurrect some; stop once all are alive.
-  std::vector<Tuple> pending = AllCandidateTuples(arity, n);
-
-  Relation answer(static_cast<int>(arity));
-  Status error = Status::OK();
-  uint64_t examined = 0;
-  CandidateBatch batch;
-  PhysicalDatabase image(&lb_->vocab());
-  Evaluator eval(&image, options_.eval);
-  KernelMemoState memo(*lb_, bound, options_.memo, options_.memo_max_entries);
-  const KernelMemoSweep sweep = memo.sweep();
-  ForEachCanonicalMapping(*lb_, [&](const ConstMapping& h) {
-    if (++examined > options_.max_mappings) {
-      error = Status::ResourceExhausted(
-          "exceeded max_mappings = " + std::to_string(options_.max_mappings));
-      return false;
-    }
-    Status s = MemoEvalCandidatesUnderMapping(&eval, *lb_, &image, bound, h,
-                                              pending, nullptr, pending.size(),
-                                              &batch, sweep);
-    if (!s.ok()) {
-      error = s;
-      return false;
-    }
-    size_t kept = 0;
-    for (size_t k = 0; k < pending.size(); ++k) {
-      if (batch.verdicts[k]) {
-        answer.Insert(std::move(pending[k]));
-      } else {
-        if (kept != k) pending[kept] = std::move(pending[k]);
-        ++kept;
-      }
-    }
-    pending.resize(kept);
-    return !pending.empty();  // nothing left to prove possible
-  });
-  last_mappings_ = examined;
-  last_memo_ = memo.memo.counters();
-  if (!error.ok()) return error;
-  return answer;
-}
-
-Result<Relation> ExactEvaluator::Answer(const Query& query) {
-  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
-  return AnswerBound(bound);
-}
-
-Result<Relation> ExactEvaluator::AnswerBound(const BoundQuery& bound) {
-  LQDB_RETURN_IF_ERROR(lb_->Validate());
-
-  const size_t arity = bound.arity();
-  const ConstId n = static_cast<ConstId>(lb_->num_constants());
-
-  // All candidate tuples over C start alive; every mapping prunes.
-  std::vector<Tuple> alive = AllCandidateTuples(arity, n);
-
-  Status error = Status::OK();
-  uint64_t examined = 0;
-  CandidateBatch batch;
-  PhysicalDatabase image(&lb_->vocab());
-  Evaluator eval(&image, options_.eval);
-  KernelMemoState memo(*lb_, bound, options_.memo, options_.memo_max_entries);
-  const KernelMemoSweep sweep = memo.sweep();
-  ForEachCanonicalMapping(*lb_, [&](const ConstMapping& h) {
-    if (++examined > options_.max_mappings) {
-      error = Status::ResourceExhausted(
-          "exceeded max_mappings = " + std::to_string(options_.max_mappings));
-      return false;
-    }
-    Status s = MemoEvalCandidatesUnderMapping(&eval, *lb_, &image, bound, h,
-                                              alive, nullptr, alive.size(),
-                                              &batch, sweep);
-    if (!s.ok()) {
-      error = s;
-      return false;
-    }
-    size_t kept = 0;
-    for (size_t k = 0; k < alive.size(); ++k) {
-      if (!batch.verdicts[k]) continue;
-      if (kept != k) alive[kept] = std::move(alive[k]);
-      ++kept;
-    }
-    alive.resize(kept);
-    return !alive.empty();  // nothing left to disprove
-  });
-  last_mappings_ = examined;
-  last_memo_ = memo.memo.counters();
-  if (!error.ok()) return error;
-
-  Relation answer(static_cast<int>(arity));
-  for (Tuple& t : alive) answer.Insert(std::move(t));
-  return answer;
+  return ContainsIn(query, candidate, /*possible=*/true, witness);
 }
 
 }  // namespace lqdb

@@ -2,7 +2,12 @@
 #define LQDB_EXACT_EXACT_H_
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/cwdb/mapping.h"
@@ -10,8 +15,10 @@
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/eval/kernel_memo.h"
 #include "lqdb/logic/query.h"
+#include "lqdb/ra/compiler.h"
 #include "lqdb/relational/relation.h"
 #include "lqdb/util/result.h"
+#include "lqdb/util/thread_pool.h"
 
 namespace lqdb {
 
@@ -19,7 +26,10 @@ struct ExactOptions {
   /// Abort with `ResourceExhausted` after examining this many canonical
   /// mappings — the co-NP enumeration is exponential in the number of
   /// unknown values (Theorem 5), so callers opt into how much work a query
-  /// may burn.
+  /// may burn. Under the work-stealing scheduler the budget is accounted
+  /// globally across workers; an answer fully decided within it is
+  /// returned even when workers still mid-chunk nudged the shared counter
+  /// past the limit (the decision is final and order-independent).
   uint64_t max_mappings = 10'000'000;
   /// Join-order enumeration cap for the compiled RA path (see
   /// `RaCardinalities::dp_join_cap`): conjunctions up to this many positive
@@ -40,107 +50,47 @@ struct ExactOptions {
 };
 
 /// Checks that `candidate` has the query's arity and only references
-/// constants of `lb` — the shared entry validation of the Theorem 1
-/// engines (exact, brute, parallel).
+/// constants of `lb` — the entry validation of every Theorem 1 call.
 Status ValidateExactCandidate(const CwDatabase& lb, const Query& query,
                               const Tuple& candidate);
 
 /// All tuples over the constants `[0, n)` of the given arity, in odometer
-/// order — the candidate space the Theorem 1 engines prune (one shared
-/// definition so sequential and parallel answers enumerate identically).
+/// order — the candidate space the Theorem 1 sweep prunes (one shared
+/// definition so every scheduler enumerates identically).
 /// Arity 0 yields the single empty tuple (the Boolean candidate); a
 /// positive arity over zero constants yields the empty space.
 std::vector<Tuple> AllCandidateTuples(size_t arity, ConstId n);
 
-/// Scratch buffers for the batched per-image candidate sweep shared by the
-/// Theorem 1 engines — reused across mappings so the hot loop stays
-/// allocation-free once the buffers reach steady size.
-struct CandidateBatch {
-  std::vector<Value> values;   // flat count × arity binding rows
-  std::vector<char> verdicts;  // per-candidate truth under one image
-};
-
-/// Evaluates a candidate set against one image database in a single batched
-/// call: row `k` binds head variable `i` of `bound` to `h[c[i]]` where `c`
-/// is the k-th swept candidate. With `subset == nullptr` the sweep covers
-/// `candidates[0 .. count)`; otherwise it covers
-/// `candidates[subset[0 .. count)]` (the open-candidate snapshot of the
-/// parallel engine). On success `batch->verdicts[k]` is the verdict for the
-/// k-th swept candidate. `eval` must be bound to the image database of `h`.
-/// This is the one per-mapping inner loop shared by the sequential, brute
-/// and parallel engines, so their answers stay bit-identical by
-/// construction.
-Status EvalCandidatesUnderMapping(Evaluator* eval, const BoundQuery& bound,
-                                  const ConstMapping& h,
-                                  const std::vector<Tuple>& candidates,
-                                  const uint32_t* subset, size_t count,
-                                  CandidateBatch* batch);
-
-/// Per-thread scratch of the memoized sweep (`MemoEvalCandidatesUnderMapping`).
-struct MemoSweepScratch {
-  KernelSignatureScratch sig;
-  std::vector<Value> rows;           // relabeled candidate rows, count × arity
-  std::vector<uint32_t> miss_local;  // sweep positions the memo could not serve
-  std::vector<uint32_t> miss_subset; // their global candidate indices
-  CandidateBatch miss_batch;
-};
-
-/// One engine call's memoization hookup: a verdict table (shared across
-/// workers for the parallel engine), the signature context of the call's
-/// query, and this thread's scratch. A null `memo` (or a disabled one)
-/// makes `MemoEvalCandidatesUnderMapping` behave exactly like
-/// `ApplyMappingInto` + `EvalCandidatesUnderMapping`.
-struct KernelMemoSweep {
-  KernelMemo* memo = nullptr;
-  const KernelSignatureContext* ctx = nullptr;
-  MemoSweepScratch* scratch = nullptr;
-};
-
-/// Per-call owner of the memoization machinery used by the sequential
-/// engines (exact, brute): one verdict table, the query's signature
-/// context, and the call's scratch. The memo's lifetime is one
-/// Answer/Contains call — cross-call reuse is the service layer's result
-/// cache, which also knows when the database changed. The parallel engine
-/// shares `memo`/`ctx` across workers but gives each its own scratch.
-struct KernelMemoState {
-  KernelMemoState(const CwDatabase& lb, const BoundQuery& bound, bool enabled,
-                  size_t max_entries)
-      : memo(enabled, max_entries) {
-    if (enabled) ctx.emplace(lb, bound.constants());
-  }
-
-  KernelMemoSweep sweep() {
-    if (!memo.enabled()) return {};
-    return {&memo, &*ctx, &scratch};
-  }
-
-  KernelMemo memo;
-  std::optional<KernelSignatureContext> ctx;
-  MemoSweepScratch scratch;
-};
-
-/// The memo-wrapped per-mapping inner loop: consults the kernel-signature
-/// table before touching the image — when every swept candidate's verdict
-/// is already known the image database is never built — and otherwise
-/// applies the mapping and evaluates only the missing candidates, recording
-/// their verdicts. Fills `batch->verdicts` exactly as
-/// `EvalCandidatesUnderMapping` would (same contract, same answers), with
-/// `image`/`eval` the caller's scratch image database and its evaluator.
-Status MemoEvalCandidatesUnderMapping(Evaluator* eval, const CwDatabase& lb,
-                                      PhysicalDatabase* image,
-                                      const BoundQuery& bound,
-                                      const ConstMapping& h,
-                                      const std::vector<Tuple>& candidates,
-                                      const uint32_t* subset, size_t count,
-                                      CandidateBatch* batch,
-                                      const KernelMemoSweep& memo);
+/// Join-ordering statistics for compiling a query against `lb`: image
+/// relations are h-images of the fact sets and the image domain is `h(C)`,
+/// so the fact counts and `|C|` upper-bound (and under the identity
+/// mapping, equal) the per-image cardinalities the plan will see.
+RaCardinalities JoinStatsFor(const CwDatabase& lb, size_t dp_join_cap);
 
 /// A witness that a tuple is *not* in `Q(LB)`: a mapping `h` respecting the
 /// uniqueness axioms with `h(c) ∉ Q(h(Ph₁(LB)))` — i.e. a model of `T`
 /// falsifying `φ(c)` (Theorem 1). This is the NP certificate from the
-/// Theorem 5(1) upper-bound proof.
+/// Theorem 5(1) upper-bound proof. `IsPossible` reports its dual, a model
+/// satisfying `φ(c)`, in the same shape.
 struct Counterexample {
   ConstMapping h;
+};
+
+/// The builtin Theorem 1 engines, each one setting of the sweep's three
+/// parameters (mapping source, per-image checker, scheduler).
+enum class ExactSweep {
+  /// Canonical mappings, compiled plan, serial loop (registry `exact`).
+  kExact,
+  /// Canonical mappings, batched Tarskian check, serial loop
+  /// (`batched-exact`).
+  kBatched,
+  /// Canonical mappings, compiled plan, work stealing (`parallel-exact`).
+  kParallel,
+  /// Every `h : C → C`, compiled plan, serial loop (`brute`): the literal
+  /// Theorem 1 quantification, exponentially redundant; exists to
+  /// cross-validate the canonical enumeration and to quantify its win
+  /// (bench E7). Refuses up front when `|C|^|C|` exceeds `max_mappings`.
+  kBrute,
 };
 
 /// Exact query evaluation over a CW logical database via the Theorem 1
@@ -149,22 +99,55 @@ struct Counterexample {
 ///   c ∈ Q(LB)  iff  h(c) ∈ Q(h(Ph₁(LB))) for every h : C → C
 ///                   that respects the uniqueness axioms,
 ///
-/// enumerating one representative per kernel partition (see
-/// `ForEachCanonicalMapping`) with early exit on the first counterexample.
+/// and its dual, the possible answer, with ∃h in place of ∀h. Every entry
+/// point runs one sweep over the mappings in one of two modes: a mapping
+/// whose verdict on a candidate equals "possible" (true in possible mode,
+/// false in certain mode) decides that candidate — certain mode drops it,
+/// possible mode promotes it — and the sweep ends once every candidate is
+/// decided. `Contains` and `IsPossible` are the one-candidate case; the
+/// deciding mapping is their counterexample or witness.
+///
+/// The sweep has three parameters, fixed per evaluator by `ExactSweep`:
+///
+///   - mapping source: one representative per kernel partition
+///     (`ForEachCanonicalMapping`), or every mapping (`ForEachMapping`);
+///   - per-image checker: the binding's semijoin-reduced relational-algebra
+///     plan, executed by `RaExecutor` with the open candidates bound to its
+///     parameter, or the batched `Evaluator::SatisfiesBatch` — the latter
+///     for `kBatched` and for queries outside the compilable first-order
+///     fragment (second-order quantification). Both sit behind one kernel
+///     memo front end (eval/kernel_memo.h);
+///   - scheduler: a plain serial loop, or (`kParallel`) work stealing over
+///     `ForEachCanonicalMappingChunk`: the partition space is pre-split by
+///     restricted-growth-string prefix, workers take the largest remaining
+///     range, walk a bounded chunk of it and donate the unvisited remainder
+///     back, so a skewed space spreads across the pool. Workers share the
+///     memo table and publish decisions through atomic per-candidate
+///     flags; answers are bit-identical across thread counts, while the
+///     reported counterexample and, under early exit,
+///     `last_mappings_examined()` may vary between runs.
+///
+/// Compiled plans are cached per evaluator, keyed by query identity (the
+/// printed head + body and the join-order cap), so repeated calls reuse
+/// the compiled tree; a binding that already carries a compilation outcome
+/// (a prepared statement from the service layer, `ra_attempted()`) is used
+/// as-is.
 class ExactEvaluator {
  public:
-  explicit ExactEvaluator(const CwDatabase* lb, ExactOptions options = {})
-      : lb_(lb), options_(options) {}
+  /// `threads` sizes the `kParallel` worker pool (0 means
+  /// `ThreadPool::DefaultThreads()`); the serial sweeps ignore it.
+  explicit ExactEvaluator(const CwDatabase* lb, ExactOptions options = {},
+                          ExactSweep sweep = ExactSweep::kExact,
+                          int threads = 0);
 
   /// The answer `Q(LB)` — a relation over the constant symbols `C`
   /// (§2.1: logical answers are tuples of constants, not domain values).
   Result<Relation> Answer(const Query& query);
 
   /// As `Answer`, over a query that was already bound — the
-  /// prepared-statement path: the service layer binds (and RA-compiles)
-  /// once per query text and every later execution skips straight to the
-  /// enumeration. The binding (and the query it borrows) must outlive the
-  /// call; the binding is only read, so concurrent sessions may share one.
+  /// prepared-statement path. The binding (and the query it borrows) must
+  /// outlive the call; it is only read, so concurrent sessions may share
+  /// one.
   Result<Relation> AnswerBound(const BoundQuery& bound);
 
   /// Membership of one candidate tuple of constants; fills `*counterexample`
@@ -173,13 +156,10 @@ class ExactEvaluator {
                         std::optional<Counterexample>* counterexample =
                             nullptr);
 
-  /// The dual of `Answer` (an extension beyond the paper, marked as such in
-  /// DESIGN.md): tuples that hold in *at least one* model of the theory —
-  /// `{c : T ∪ {φ(c)} is finitely satisfiable}`. Certain ⊆ possible; the
-  /// gap between the two relations is exactly the information lost to the
-  /// unknown values. The same Theorem 1 machinery applies with the
-  /// quantifier flipped (∃h instead of ∀h), making this the NP face of the
-  /// co-NP problem.
+  /// The dual of `Answer` (an extension beyond the paper): tuples that hold
+  /// in *at least one* model of the theory — `{c : T ∪ {φ(c)} is finitely
+  /// satisfiable}`. Certain ⊆ possible; the gap between the two relations
+  /// is exactly the information lost to the unknown values.
   Result<Relation> PossibleAnswer(const Query& query);
 
   /// `PossibleAnswer` over a pre-bound query (see `AnswerBound`).
@@ -190,17 +170,60 @@ class ExactEvaluator {
   Result<bool> IsPossible(const Query& query, const Tuple& candidate,
                           std::optional<Counterexample>* witness = nullptr);
 
-  /// Mappings examined by the most recent call (for the E1/E7 benches).
+  /// Mappings examined by the most recent call (summed across workers).
   uint64_t last_mappings_examined() const { return last_mappings_; }
 
   /// Kernel-memo counters of the most recent call (zeros with memo off).
   const KernelMemoCounters& last_memo_counters() const { return last_memo_; }
 
+  /// Whether the most recent call checked images with a compiled plan (as
+  /// opposed to the batched evaluator).
+  bool last_used_ra() const { return last_used_ra_; }
+
+  /// Work-stealing ranges retired per worker by the most recent `kParallel`
+  /// call, indexed by worker. Under early exit some workers may
+  /// legitimately retire zero.
+  const std::vector<uint64_t>& last_worker_ranges() const {
+    return last_worker_ranges_;
+  }
+
+  /// Worker threads of the sweep (1 for the serial sweeps).
+  int threads() const { return pool_ ? pool_->num_threads() : 1; }
+
+  /// Number of distinct queries whose compilation outcome is cached.
+  size_t plan_cache_size() const { return plan_cache_.size(); }
+
  private:
+  class Walk;
+
+  /// Binds `query` and settles its checker: from the plan cache on a hit,
+  /// compiling (and caching the outcome) on a miss.
+  Result<BoundQuery> Prepare(const Query& query);
+  /// `bound` may be null (bind `query` here) or lack a compilation outcome
+  /// (compile it here, unless the checker is batched).
+  Result<Relation> AnswerIn(const Query& query, const BoundQuery* bound,
+                            bool possible);
+  Result<bool> ContainsIn(const Query& query, const Tuple& candidate,
+                          bool possible,
+                          std::optional<Counterexample>* decisive);
+
+  /// The one Theorem 1 sweep: sets `(*decided)[i]` for every candidate
+  /// some mapping decides (see the class comment), and `*decisive` to the
+  /// deciding mapping when `candidates` is a single tuple.
+  Status Sweep(const BoundQuery& bound, const std::vector<Tuple>& candidates,
+               bool possible, std::vector<char>* decided,
+               ConstMapping* decisive);
+
   const CwDatabase* lb_;
   ExactOptions options_;
+  ExactSweep sweep_;
+  std::unique_ptr<ThreadPool> pool_;  // kParallel only
   uint64_t last_mappings_ = 0;
   KernelMemoCounters last_memo_;
+  bool last_used_ra_ = false;
+  std::vector<uint64_t> last_worker_ranges_;
+  /// Query identity → (compiled plan, its reduction); null = uncompilable.
+  std::map<std::string, std::pair<PlanPtr, ReducedPlan>> plan_cache_;
 };
 
 }  // namespace lqdb

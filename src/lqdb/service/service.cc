@@ -4,29 +4,9 @@
 #include <utility>
 
 #include "lqdb/logic/parser.h"
-#include "lqdb/ra/compiler.h"
+#include "lqdb/exact/exact.h"
 
 namespace lqdb {
-
-namespace {
-
-/// Join-ordering statistics for the prepare-time RA compile; mirrors the
-/// ra-exact engine's view (image cardinalities are bounded by the logical
-/// database's fact counts and `|C|`). The session's join-order cap shapes
-/// the compiled plan, so it must flow into the prepare-time compile just
-/// as it does into the ra-exact engine's own plan cache.
-RaCardinalities StatsFor(const CwDatabase& lb, const EngineOptions& options) {
-  RaCardinalities stats;
-  stats.domain_size = static_cast<double>(lb.num_constants());
-  stats.relation_sizes.assign(lb.vocab().num_predicates(), 0.0);
-  for (PredId p : lb.PredicatesWithFacts()) {
-    stats.relation_sizes[p] = static_cast<double>(lb.facts(p).size());
-  }
-  stats.dp_join_cap = options.exact.ra_dp_join_cap;
-  return stats;
-}
-
-}  // namespace
 
 std::string EngineOptionsFingerprint(const EngineOptions& options) {
   // Everything here either changes an answer outright (the approximation
@@ -174,10 +154,12 @@ Result<std::shared_ptr<PreparedQuery>> Service::PrepareInternal(
     LQDB_ASSIGN_OR_RETURN(
         entry,
         PreparedQuery::Make(text, engine, options_key, std::move(query)));
-    // Compile once at prepare time regardless of engine: ra-exact executes
-    // the plan, and the other engines ignore it. A failed compile (second
-    // order) is cached inside the binding as "use the fallback".
-    const RaCardinalities stats = StatsFor(*db_, engine_options);
+    // Compile once at prepare time regardless of engine: the compiled
+    // Theorem 1 sweeps execute the plan's semijoin reduction, and the other
+    // engines ignore it. A failed compile (second order) is cached inside
+    // the binding as "use the batched checker".
+    const RaCardinalities stats =
+        JoinStatsFor(*db_, engine_options.exact.ra_dp_join_cap);
     Status compile = entry->mutable_bound()->CompileRaPlan(db_->vocab(),
                                                            &stats);
     (void)compile;

@@ -1,10 +1,13 @@
-/// Differential testing of the three query engines against each other:
+/// Differential testing of the query engines against each other:
 ///
-///   - `BruteForceEvaluator` (exact/brute): the literal Theorem 1 definition,
-///     enumerating *every* mapping h : C → C — slow but definitionally
-///     correct, so it serves as the oracle;
-///   - `ExactEvaluator` (exact/exact): Theorem 1 with canonical-mapping
-///     enumeration — must agree with brute on every instance;
+///   - the `brute` engine: the literal Theorem 1 definition, enumerating
+///     *every* mapping h : C → C — slow but definitionally correct, so it
+///     serves as the oracle;
+///   - `ExactEvaluator` with its other sweeps (`exact`/`ra-exact`,
+///     `batched-exact`, `parallel-exact`): Theorem 1 with canonical-mapping
+///     enumeration, compiled or batched per-image checks, serial or
+///     work-stealing scheduling — must agree with brute and with each other
+///     on every instance;
 ///   - `ApproxEvaluator` (approx/): the §5 polynomial approximation — must
 ///     be sound (⊆ exact) always, and complete on fully specified databases
 ///     (Theorem 12) and positive queries (Theorem 13).
@@ -42,6 +45,25 @@ using testing::DifferentialInstance;
 using testing::InstanceProfile;
 using testing::MakeInstance;
 
+/// A registry engine over `db` — the way every other caller gets one — with
+/// the kernel memo on or off.
+std::unique_ptr<QueryEngine> MakeEngine(const char* name, CwDatabase* db,
+                                        int threads = 0, bool memo = true) {
+  EngineOptions options;
+  options.threads = threads;
+  options.exact.memo = memo;
+  options.brute.memo = memo;
+  return EngineRegistry::Global().Create(name, db, options).value();
+}
+
+/// The serial sweep with the batched Tarskian checker: the reference the
+/// compiled and parallel sweeps are compared against.
+ExactEvaluator Batched(const CwDatabase* db, bool memo = true) {
+  ExactOptions options;
+  options.memo = memo;
+  return ExactEvaluator(db, options, ExactSweep::kBatched);
+}
+
 std::string AnswerDiff(const CwDatabase& db, const char* lhs_name,
                        const Relation& lhs, const char* rhs_name,
                        const Relation& rhs) {
@@ -69,8 +91,9 @@ std::string AnswerDiff(const CwDatabase& db, const char* lhs_name,
 /// the certain answer must be contained in the possible answer.
 void CheckBruteVsExact(const DifferentialInstance& instance) {
   SCOPED_TRACE(Describe(instance));
-  BruteForceEvaluator brute(instance.db.get());
-  ASSERT_OK_AND_ASSIGN(Relation brute_answer, brute.Answer(instance.query));
+  ASSERT_OK_AND_ASSIGN(Relation brute_answer,
+                       MakeEngine("brute", instance.db.get())
+                           ->Answer(instance.query));
 
   ExactEvaluator exact(instance.db.get());
   ASSERT_OK_AND_ASSIGN(Relation exact_answer, exact.Answer(instance.query));
@@ -176,8 +199,9 @@ TEST(DifferentialTest, FullySpecifiedAllEnginesCoincide) {
     SCOPED_TRACE(Describe(instance));
     ASSERT_TRUE(instance.db->IsFullySpecified());
 
-    BruteForceEvaluator brute(instance.db.get());
-    ASSERT_OK_AND_ASSIGN(Relation brute_answer, brute.Answer(instance.query));
+    ASSERT_OK_AND_ASSIGN(Relation brute_answer,
+                         MakeEngine("brute", instance.db.get())
+                             ->Answer(instance.query));
 
     ExactEvaluator exact(instance.db.get());
     ASSERT_OK_AND_ASSIGN(Relation exact_answer, exact.Answer(instance.query));
@@ -205,8 +229,9 @@ TEST(DifferentialTest, PositiveQueriesAreComplete) {
     SCOPED_TRACE(Describe(instance));
     ASSERT_TRUE(IsPositive(instance.query));
 
-    BruteForceEvaluator brute(instance.db.get());
-    ASSERT_OK_AND_ASSIGN(Relation brute_answer, brute.Answer(instance.query));
+    ASSERT_OK_AND_ASSIGN(Relation brute_answer,
+                         MakeEngine("brute", instance.db.get())
+                             ->Answer(instance.query));
 
     ExactEvaluator exact(instance.db.get());
     ASSERT_OK_AND_ASSIGN(Relation exact_answer, exact.Answer(instance.query));
@@ -225,13 +250,13 @@ TEST(DifferentialTest, PositiveQueriesAreComplete) {
   }
 }
 
-/// The parallel-engine agreement dimension: `ParallelExactEvaluator`
-/// (reached through the engine registry, the way every other caller gets
-/// it) must compute exactly the same certain and possible answers as the
-/// sequential `ExactEvaluator` on *every* instance the suite generates —
-/// the same 268 (profile, seed) pairs the other dimensions sweep, so a
+/// The parallel-engine agreement dimension: `parallel-exact` (compiled
+/// checks under the work-stealing scheduler) at 1, 2 and 4 threads must
+/// compute exactly the same certain and possible answers as the serial
+/// batched sweep on *every* instance the suite generates — the same 268
+/// (profile, seed) pairs the other dimensions sweep, so a
 /// partition-splitting or coordination bug cannot hide in a corner the
-/// sequential tests cover but the parallel ones skip.
+/// serial tests cover but the parallel ones skip.
 TEST(DifferentialTest, ParallelExactAgreesOnAllInstances) {
   struct Sweep {
     InstanceProfile profile;
@@ -252,28 +277,28 @@ TEST(DifferentialTest, ParallelExactAgreesOnAllInstances) {
       DifferentialInstance instance = MakeInstance(seed, sweep.profile);
       SCOPED_TRACE(Describe(instance));
 
-      ExactEvaluator exact(instance.db.get());
+      ExactEvaluator exact = Batched(instance.db.get());
       ASSERT_OK_AND_ASSIGN(Relation exact_answer,
                            exact.Answer(instance.query));
       ASSERT_OK_AND_ASSIGN(Relation exact_possible,
                            exact.PossibleAnswer(instance.query));
 
-      EngineOptions options;
-      options.threads = 4;
-      ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> parallel,
-                           EngineRegistry::Global().Create(
-                               "parallel-exact", instance.db.get(), options));
-      ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
-                           parallel->Answer(instance.query));
-      EXPECT_EQ(parallel_answer, exact_answer)
-          << AnswerDiff(*instance.db, "parallel", parallel_answer, "exact",
-                        exact_answer);
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        std::unique_ptr<QueryEngine> parallel =
+            MakeEngine("parallel-exact", instance.db.get(), threads);
+        ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
+                             parallel->Answer(instance.query));
+        EXPECT_EQ(parallel_answer, exact_answer)
+            << AnswerDiff(*instance.db, "parallel", parallel_answer,
+                          "exact", exact_answer);
 
-      ASSERT_OK_AND_ASSIGN(Relation parallel_possible,
-                           parallel->PossibleAnswer(instance.query));
-      EXPECT_EQ(parallel_possible, exact_possible)
-          << AnswerDiff(*instance.db, "parallel", parallel_possible, "exact",
-                        exact_possible);
+        ASSERT_OK_AND_ASSIGN(Relation parallel_possible,
+                             parallel->PossibleAnswer(instance.query));
+        EXPECT_EQ(parallel_possible, exact_possible)
+            << AnswerDiff(*instance.db, "parallel", parallel_possible,
+                          "exact", exact_possible);
+      }
     }
   }
   EXPECT_EQ(instances, 268u);
@@ -282,45 +307,43 @@ TEST(DifferentialTest, ParallelExactAgreesOnAllInstances) {
 /// The work-stealing dimension: the skewed profile hangs the whole
 /// canonical-mapping mass under one giant kernel-class subtree (the known
 /// constants pin a single RGS prefix chain), the adversarial shape for the
-/// parallel engine's scheduler. With deliberately tiny steal chunks — lots
-/// of remainder donation — the parallel answers must still be bit-identical
-/// to the sequential engine's on every instance.
+/// parallel engine's scheduler. With 8 workers stealing from one subtree —
+/// lots of remainder donation — the parallel answers must still be
+/// bit-identical to the serial sweep's on every instance.
 TEST(DifferentialTest, SkewedProfileParallelAgreesOnAllInstances) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     DifferentialInstance instance =
         MakeInstance(seed, InstanceProfile::kSkewed);
     SCOPED_TRACE(Describe(instance));
 
-    ExactEvaluator exact(instance.db.get());
+    ExactEvaluator exact = Batched(instance.db.get());
     ASSERT_OK_AND_ASSIGN(Relation exact_answer, exact.Answer(instance.query));
     ASSERT_OK_AND_ASSIGN(Relation exact_possible,
                          exact.PossibleAnswer(instance.query));
 
-    ParallelExactOptions options;
-    options.threads = 8;
-    options.steal_chunk = 8;
-    ParallelExactEvaluator parallel(instance.db.get(), options);
+    std::unique_ptr<QueryEngine> parallel =
+        MakeEngine("parallel-exact", instance.db.get(), 8);
     ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
-                         parallel.Answer(instance.query));
+                         parallel->Answer(instance.query));
     EXPECT_EQ(parallel_answer, exact_answer)
         << AnswerDiff(*instance.db, "parallel", parallel_answer, "exact",
                       exact_answer);
     ASSERT_OK_AND_ASSIGN(Relation parallel_possible,
-                         parallel.PossibleAnswer(instance.query));
+                         parallel->PossibleAnswer(instance.query));
     EXPECT_EQ(parallel_possible, exact_possible)
         << AnswerDiff(*instance.db, "parallel", parallel_possible, "exact",
                       exact_possible);
   }
 }
 
-/// The compiled-plan dimension: `ra-exact` replaces the per-image batched
-/// evaluator with a cached relational-algebra plan (hash joins, anti-joins
-/// for negation, shared subplans for `↔`/`→`/`∀`), so the whole compiler +
-/// executor stack must reproduce `ExactEvaluator`'s answers bit-for-bit on
-/// every instance the suite generates — the same 268 (profile, seed) pairs
-/// the other dimensions sweep. The generator emits first-order formulas
-/// only, so every instance exercises the compiled path rather than the
-/// second-order fallback.
+/// The compiled-plan dimension: `exact` (and its alias `ra-exact`) replaces
+/// the per-image batched evaluator with a cached relational-algebra plan
+/// (hash joins, anti-joins for negation, shared subplans for `↔`/`→`/`∀`),
+/// so the whole compiler + executor stack must reproduce the batched
+/// sweep's answers bit-for-bit on every instance the suite generates — the
+/// same 268 (profile, seed) pairs the other dimensions sweep. The generator
+/// emits first-order formulas only, so every instance exercises the
+/// compiled path rather than the second-order fallback.
 TEST(DifferentialTest, RaExactAgreesOnAllInstances) {
   struct Sweep {
     InstanceProfile profile;
@@ -339,31 +362,32 @@ TEST(DifferentialTest, RaExactAgreesOnAllInstances) {
       DifferentialInstance instance = MakeInstance(seed, sweep.profile);
       SCOPED_TRACE(Describe(instance));
 
-      ExactEvaluator exact(instance.db.get());
+      ExactEvaluator exact = Batched(instance.db.get());
       ASSERT_OK_AND_ASSIGN(Relation exact_answer,
                            exact.Answer(instance.query));
       ASSERT_OK_AND_ASSIGN(Relation exact_possible,
                            exact.PossibleAnswer(instance.query));
 
-      ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> ra,
-                           EngineRegistry::Global().Create(
-                               "ra-exact", instance.db.get()));
-      ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
-      EXPECT_EQ(ra_answer, exact_answer)
-          << AnswerDiff(*instance.db, "ra-exact", ra_answer, "exact",
-                        exact_answer);
+      for (const char* name : {"exact", "ra-exact"}) {
+        SCOPED_TRACE(name);
+        std::unique_ptr<QueryEngine> ra = MakeEngine(name, instance.db.get());
+        ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
+        EXPECT_EQ(ra_answer, exact_answer)
+            << AnswerDiff(*instance.db, name, ra_answer, "batched",
+                          exact_answer);
 
-      ASSERT_OK_AND_ASSIGN(Relation ra_possible,
-                           ra->PossibleAnswer(instance.query));
-      EXPECT_EQ(ra_possible, exact_possible)
-          << AnswerDiff(*instance.db, "ra-exact", ra_possible, "exact",
-                        exact_possible);
+        ASSERT_OK_AND_ASSIGN(Relation ra_possible,
+                             ra->PossibleAnswer(instance.query));
+        EXPECT_EQ(ra_possible, exact_possible)
+            << AnswerDiff(*instance.db, name, ra_possible, "batched",
+                          exact_possible);
+      }
     }
   }
   EXPECT_EQ(instances, 268u);
 }
 
-/// ra-exact on the skewed profile: the known constants pin a long RGS
+/// The compiled sweep on the skewed profile: the known constants pin a long RGS
 /// prefix chain, so the canonical enumeration visits many near-identical
 /// images — exactly the case the cached plan is supposed to accelerate
 /// without changing a single answer.
@@ -373,14 +397,12 @@ TEST(DifferentialTest, SkewedProfileRaExactAgreesOnAllInstances) {
         MakeInstance(seed, InstanceProfile::kSkewed);
     SCOPED_TRACE(Describe(instance));
 
-    ExactEvaluator exact(instance.db.get());
+    ExactEvaluator exact = Batched(instance.db.get());
     ASSERT_OK_AND_ASSIGN(Relation exact_answer, exact.Answer(instance.query));
     ASSERT_OK_AND_ASSIGN(Relation exact_possible,
                          exact.PossibleAnswer(instance.query));
 
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<QueryEngine> ra,
-        EngineRegistry::Global().Create("ra-exact", instance.db.get()));
+    std::unique_ptr<QueryEngine> ra = MakeEngine("exact", instance.db.get());
     ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
     EXPECT_EQ(ra_answer, exact_answer)
         << AnswerDiff(*instance.db, "ra-exact", ra_answer, "exact",
@@ -393,7 +415,7 @@ TEST(DifferentialTest, SkewedProfileRaExactAgreesOnAllInstances) {
   }
 }
 
-/// ra-exact on the generated large-world profile: an order of magnitude
+/// The compiled sweep on the generated large-world profile: an order of magnitude
 /// more constants and facts than the toy profiles (lqdb/gen/scenario.h),
 /// with a fixed join-heavy query pool — the regime the compiled engine's
 /// join-order DP and semijoin reduction actually target, so agreement here
@@ -407,14 +429,12 @@ TEST(DifferentialTest, LargeProfileRaExactAgreesOnAllInstances) {
         MakeInstance(seed, InstanceProfile::kLarge);
     SCOPED_TRACE(Describe(instance));
 
-    ExactEvaluator exact(instance.db.get());
+    ExactEvaluator exact = Batched(instance.db.get());
     ASSERT_OK_AND_ASSIGN(Relation exact_answer, exact.Answer(instance.query));
     ASSERT_OK_AND_ASSIGN(Relation exact_possible,
                          exact.PossibleAnswer(instance.query));
 
-    ASSERT_OK_AND_ASSIGN(
-        std::unique_ptr<QueryEngine> ra,
-        EngineRegistry::Global().Create("ra-exact", instance.db.get()));
+    std::unique_ptr<QueryEngine> ra = MakeEngine("exact", instance.db.get());
     ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
     EXPECT_EQ(ra_answer, exact_answer)
         << AnswerDiff(*instance.db, "ra-exact", ra_answer, "exact",
@@ -584,9 +604,9 @@ TEST(DifferentialTest, ConcurrentSessionsMatchSequentialReplay) {
   }
 }
 
-/// The memoization dimension: every engine with the kernel memo enabled
-/// (the default) must produce answers bit-identical to the memo-off
-/// configuration on every instance the suite generates — the same 268
+/// The memoization dimension: every Theorem 1 registry engine, with the
+/// kernel memo on (the default) and off, must produce answers bit-identical
+/// to the memo-off batched sweep on every instance the suite generates — the same 268
 /// (profile, seed) pairs the other dimensions sweep. An unsound signature
 /// (one that identifies non-isomorphic images) would surface here as a
 /// wrong reused verdict; see kernel_memo.h for the counterexample that
@@ -612,66 +632,37 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
       DifferentialInstance instance = MakeInstance(seed, sweep.profile);
       SCOPED_TRACE(Describe(instance));
 
-      ExactOptions off;
-      off.memo = false;
-      ExactEvaluator baseline(instance.db.get(), off);
+      ExactEvaluator baseline = Batched(instance.db.get(), /*memo=*/false);
       ASSERT_OK_AND_ASSIGN(Relation baseline_answer,
                            baseline.Answer(instance.query));
       ASSERT_OK_AND_ASSIGN(Relation baseline_possible,
                            baseline.PossibleAnswer(instance.query));
       EXPECT_EQ(baseline.last_memo_counters().row_hits, 0u);
 
-      ExactEvaluator memo_exact(instance.db.get());  // memo on by default
-      ASSERT_OK_AND_ASSIGN(Relation exact_answer,
-                           memo_exact.Answer(instance.query));
-      EXPECT_EQ(exact_answer, baseline_answer)
-          << AnswerDiff(*instance.db, "memo", exact_answer, "no-memo",
-                        baseline_answer);
-      total_hits += memo_exact.last_memo_counters().row_hits;
-      ASSERT_OK_AND_ASSIGN(Relation exact_possible,
-                           memo_exact.PossibleAnswer(instance.query));
-      EXPECT_EQ(exact_possible, baseline_possible)
-          << AnswerDiff(*instance.db, "memo", exact_possible, "no-memo",
-                        baseline_possible);
-      total_hits += memo_exact.last_memo_counters().row_hits;
-
       // Brute enumerates every mapping (not just canonical representatives),
       // so its sweep is exponentially redundant — the memo's best case and
-      // the harshest consistency check, since most verdicts are reused.
-      BruteOptions brute_off;
-      brute_off.memo = false;
-      BruteForceEvaluator brute_baseline(instance.db.get(), brute_off);
-      ASSERT_OK_AND_ASSIGN(Relation brute_answer,
-                           brute_baseline.Answer(instance.query));
-      BruteForceEvaluator brute_memo(instance.db.get());
-      ASSERT_OK_AND_ASSIGN(Relation brute_memo_answer,
-                           brute_memo.Answer(instance.query));
-      EXPECT_EQ(brute_memo_answer, brute_answer)
-          << AnswerDiff(*instance.db, "memo", brute_memo_answer, "no-memo",
-                        brute_answer);
-      total_hits += brute_memo.last_memo_counters().row_hits;
-
-      // The shared-table concurrent path and the compiled-plan path, both
-      // memo-on, against the memo-off sequential baseline.
-      EngineOptions popts;
-      popts.threads = 4;
-      ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> parallel,
-                           EngineRegistry::Global().Create(
-                               "parallel-exact", instance.db.get(), popts));
-      ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
-                           parallel->Answer(instance.query));
-      EXPECT_EQ(parallel_answer, baseline_answer)
-          << AnswerDiff(*instance.db, "parallel-memo", parallel_answer,
-                        "no-memo", baseline_answer);
-
-      ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> ra,
-                           EngineRegistry::Global().Create(
-                               "ra-exact", instance.db.get()));
-      ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
-      EXPECT_EQ(ra_answer, baseline_answer)
-          << AnswerDiff(*instance.db, "ra-memo", ra_answer, "no-memo",
-                        baseline_answer);
-      total_hits += ra->last_memo_counters().row_hits;
+      // the harshest consistency check, since most verdicts are reused. The
+      // parallel engine shares one verdict table across its 4 workers.
+      for (const char* name :
+           {"brute", "exact", "batched-exact", "parallel-exact"}) {
+        for (bool memo : {false, true}) {
+          SCOPED_TRACE(std::string(name) + (memo ? " memo" : " no-memo"));
+          std::unique_ptr<QueryEngine> engine =
+              MakeEngine(name, instance.db.get(), /*threads=*/4, memo);
+          ASSERT_OK_AND_ASSIGN(Relation answer,
+                               engine->Answer(instance.query));
+          EXPECT_EQ(answer, baseline_answer)
+              << AnswerDiff(*instance.db, name, answer, "baseline",
+                            baseline_answer);
+          total_hits += engine->last_memo_counters().row_hits;
+          if (!engine->capabilities().supports_possible) continue;
+          ASSERT_OK_AND_ASSIGN(Relation possible,
+                               engine->PossibleAnswer(instance.query));
+          EXPECT_EQ(possible, baseline_possible)
+              << AnswerDiff(*instance.db, name, possible, "baseline",
+                            baseline_possible);
+        }
+      }
     }
   }
   EXPECT_EQ(instances, 268u);
@@ -697,38 +688,22 @@ TEST(DifferentialTest, MemoizedAgreesOnAdversarialProfiles) {
       DifferentialInstance instance = MakeInstance(seed, sweep.profile);
       SCOPED_TRACE(Describe(instance));
 
-      ExactOptions off;
-      off.memo = false;
-      ExactEvaluator baseline(instance.db.get(), off);
+      ExactEvaluator baseline = Batched(instance.db.get(), /*memo=*/false);
       ASSERT_OK_AND_ASSIGN(Relation baseline_answer,
                            baseline.Answer(instance.query));
 
-      ExactEvaluator memo_exact(instance.db.get());
-      ASSERT_OK_AND_ASSIGN(Relation exact_answer,
-                           memo_exact.Answer(instance.query));
-      EXPECT_EQ(exact_answer, baseline_answer)
-          << AnswerDiff(*instance.db, "memo", exact_answer, "no-memo",
-                        baseline_answer);
-
-      ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> ra,
-                           EngineRegistry::Global().Create(
-                               "ra-exact", instance.db.get()));
-      ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
-      EXPECT_EQ(ra_answer, baseline_answer)
-          << AnswerDiff(*instance.db, "ra-memo", ra_answer, "no-memo",
-                        baseline_answer);
-
-      if (sweep.profile == InstanceProfile::kSkewed) {
-        EngineOptions popts;
-        popts.threads = 8;
-        ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> parallel,
-                             EngineRegistry::Global().Create(
-                                 "parallel-exact", instance.db.get(), popts));
-        ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
-                             parallel->Answer(instance.query));
-        EXPECT_EQ(parallel_answer, baseline_answer)
-            << AnswerDiff(*instance.db, "parallel-memo", parallel_answer,
-                          "no-memo", baseline_answer);
+      for (const char* name : {"batched-exact", "exact", "parallel-exact"}) {
+        if (std::string(name) == "parallel-exact" &&
+            sweep.profile != InstanceProfile::kSkewed) {
+          continue;
+        }
+        SCOPED_TRACE(name);
+        std::unique_ptr<QueryEngine> engine =
+            MakeEngine(name, instance.db.get(), /*threads=*/8);
+        ASSERT_OK_AND_ASSIGN(Relation answer, engine->Answer(instance.query));
+        EXPECT_EQ(answer, baseline_answer)
+            << AnswerDiff(*instance.db, name, answer, "no-memo",
+                          baseline_answer);
       }
     }
   }

@@ -30,22 +30,24 @@ std::unique_ptr<CwDatabase> MurderDb() {
 TEST(EngineRegistryTest, BuiltinsAreRegistered) {
   EngineRegistry& registry = EngineRegistry::Global();
   for (const char* name :
-       {"brute", "exact", "parallel-exact", "ra-exact", "approx",
-        "physical"}) {
+       {"brute", "exact", "parallel-exact", "ra-exact", "batched-exact",
+        "approx", "physical"}) {
     EXPECT_TRUE(registry.Has(name)) << name;
   }
   auto names = registry.Names();
-  EXPECT_GE(names.size(), 6u);
+  EXPECT_GE(names.size(), 7u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
 TEST(EngineRegistryTest, CapabilitiesMatchTheTheorems) {
   EngineRegistry& registry = EngineRegistry::Global();
-  for (const char* name : {"brute", "exact", "parallel-exact", "ra-exact"}) {
+  for (const std::string name : {"brute", "exact", "parallel-exact",
+                                  "ra-exact", "batched-exact"}) {
     ASSERT_OK_AND_ASSIGN(EngineCapabilities caps,
                          registry.CapabilitiesOf(name));
     EXPECT_TRUE(caps.exact()) << name;
     EXPECT_FALSE(caps.polynomial) << name;  // Theorem 5: co-NP-complete
+    EXPECT_EQ(caps.supports_possible, name != "brute") << name;
   }
   ASSERT_OK_AND_ASSIGN(EngineCapabilities approx,
                        registry.CapabilitiesOf("approx"));
@@ -86,14 +88,15 @@ TEST(EngineRegistryTest, DuplicateRegistrationIsRejected) {
 }
 
 TEST(EngineRegistryTest, ExactFamilyEnginesAgreeThroughTheRegistry) {
-  for (const char* name : {"brute", "exact", "parallel-exact", "ra-exact"}) {
+  for (const char* name : {"brute", "exact", "parallel-exact", "ra-exact",
+                           "batched-exact"}) {
     SCOPED_TRACE(name);
     auto lb = MurderDb();
     auto query = ParseQuery(lb->mutable_vocab(), "(x) . !MURDERER(x)");
     ASSERT_TRUE(query.ok()) << query.status();
 
-    // Direct sequential evaluation is the reference.
-    ExactEvaluator reference(lb.get());
+    // Direct serial evaluation with the batched checker is the reference.
+    ExactEvaluator reference(lb.get(), {}, ExactSweep::kBatched);
     ASSERT_OK_AND_ASSIGN(Relation expected, reference.Answer(query.value()));
 
     EngineOptions options;
@@ -112,6 +115,11 @@ TEST(EngineRegistryTest, ExactFamilyEnginesAgreeThroughTheRegistry) {
     ASSERT_OK_AND_ASSIGN(bool has_victoria,
                          engine->Contains(query.value(), {1}));
     EXPECT_EQ(has_victoria, expected.Contains({1}));
+
+    // A candidate naming a constant outside `C` is rejected, not indexed.
+    const ConstId unknown = static_cast<ConstId>(lb->num_constants() + 5);
+    EXPECT_EQ(engine->Contains(query.value(), {unknown}).status().code(),
+              StatusCode::kInvalidArgument);
   }
 }
 
@@ -134,7 +142,8 @@ TEST(EngineRegistryTest, ApproxEngineIsSoundThroughTheRegistry) {
 }
 
 TEST(EngineRegistryTest, PossibleAnswerThroughTheRegistry) {
-  for (const char* name : {"exact", "parallel-exact", "ra-exact"}) {
+  for (const char* name :
+       {"exact", "parallel-exact", "ra-exact", "batched-exact"}) {
     SCOPED_TRACE(name);
     auto lb = MurderDb();
     auto query = ParseQuery(lb->mutable_vocab(), "(x) . MURDERER(x)");

@@ -5,8 +5,6 @@
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
-#include "lqdb/exact/parallel.h"
-#include "lqdb/exact/ra_exact.h"
 #include "lqdb/logic/parser.h"
 #include "lqdb/logic/printer.h"
 #include "testing.h"
@@ -172,7 +170,7 @@ TEST(ExactVsBruteTest, PartitionCanonicalizationIsSound) {
     ExactEvaluator exact(lb.get());
     ASSERT_OK_AND_ASSIGN(Relation canonical, exact.Answer(q));
 
-    BruteForceEvaluator brute(lb.get());
+    ExactEvaluator brute(lb.get(), {}, ExactSweep::kBrute);
     ASSERT_OK_AND_ASSIGN(Relation brute_answer, brute.Answer(q));
 
     EXPECT_EQ(canonical, brute_answer)
@@ -406,40 +404,21 @@ TEST(CandidateSpaceTest, ConstantFreeDatabaseFailsCleanlyOnAllEngines) {
   ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(vocab, "(x) . P(x)"));
   ASSERT_OK_AND_ASSIGN(Query boolean, ParseQuery(vocab, "true"));
 
-  ExactEvaluator exact(&lb);
-  EXPECT_EQ(exact.Answer(q).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(exact.PossibleAnswer(q).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(exact.Contains(boolean, {}).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(exact.IsPossible(boolean, {}).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  BruteForceEvaluator brute(&lb);
-  EXPECT_EQ(brute.Answer(q).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(brute.Contains(boolean, {}).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  ParallelExactOptions options;
-  options.threads = 2;
-  ParallelExactEvaluator parallel(&lb, options);
-  EXPECT_EQ(parallel.Answer(q).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(parallel.PossibleAnswer(q).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(parallel.Contains(boolean, {}).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  // ra-exact checks the precondition before compiling: the compiled plan's
-  // cardinality stats and the enumeration both assume a nonempty `C`.
-  RaExactEvaluator ra(&lb);
-  EXPECT_EQ(ra.Answer(q).status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ra.PossibleAnswer(q).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ra.Contains(boolean, {}).status().code(),
-            StatusCode::kFailedPrecondition);
+  // The compiled sweeps check the precondition before compiling: the
+  // plan's cardinality stats and the enumeration both assume a nonempty `C`.
+  for (ExactSweep sweep : {ExactSweep::kExact, ExactSweep::kBatched,
+                           ExactSweep::kParallel, ExactSweep::kBrute}) {
+    SCOPED_TRACE(static_cast<int>(sweep));
+    ExactEvaluator exact(&lb, {}, sweep, /*threads=*/2);
+    EXPECT_EQ(exact.Answer(q).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(exact.PossibleAnswer(q).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(exact.Contains(boolean, {}).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(exact.IsPossible(boolean, {}).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST(SaturatingPowerTest, ComputesExactIntegerPowers) {
@@ -472,15 +451,15 @@ TEST(SaturatingPowerTest, BruteBudgetGateIsExactAtTheThreshold) {
   Vocabulary* vocab = lb.mutable_vocab();
   ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(vocab, "(x) . P(x)"));
 
-  BruteOptions exact_budget;
+  ExactOptions exact_budget;
   exact_budget.max_mappings = 27;
-  BruteForceEvaluator roomy(&lb, exact_budget);
+  ExactEvaluator roomy(&lb, exact_budget, ExactSweep::kBrute);
   EXPECT_OK(roomy.Answer(q).status());
   EXPECT_OK(roomy.Contains(q, {0}).status());
 
-  BruteOptions tight_budget;
+  ExactOptions tight_budget;
   tight_budget.max_mappings = 26;
-  BruteForceEvaluator tight(&lb, tight_budget);
+  ExactEvaluator tight(&lb, tight_budget, ExactSweep::kBrute);
   EXPECT_EQ(tight.Answer(q).status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(tight.Contains(q, {0}).status().code(),

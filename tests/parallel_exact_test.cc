@@ -1,7 +1,8 @@
-/// ParallelExactEvaluator: determinism across thread counts, agreement with
-/// the sequential Theorem 1 engine, global `max_mappings` accounting, and
-/// validity of reported counterexamples/witnesses (which may legitimately
-/// differ between runs — only the *answers* are deterministic).
+/// The work-stealing scheduler of the Theorem 1 sweep
+/// (`ExactSweep::kParallel`): determinism across thread counts, agreement
+/// with the serial sweep, global `max_mappings` accounting, and validity of
+/// reported counterexamples/witnesses (which may legitimately differ between
+/// runs — only the *answers* are deterministic).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,6 @@
 #include "lqdb/cwdb/mapping.h"
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/exact/exact.h"
-#include "lqdb/exact/parallel.h"
 #include "lqdb/logic/parser.h"
 #include "tests/testing.h"
 
@@ -25,10 +25,9 @@ using testing::RandomDbParams;
 using testing::RandomFormulaParams;
 using testing::RandomQuery;
 
-ParallelExactOptions WithThreads(int threads) {
-  ParallelExactOptions options;
-  options.threads = threads;
-  return options;
+ExactEvaluator Parallel(const CwDatabase* lb, int threads,
+                        ExactOptions options = {}) {
+  return ExactEvaluator(lb, options, ExactSweep::kParallel, threads);
 }
 
 TEST(ParallelExactTest, AnswersIdenticalAcross1And2And8Threads) {
@@ -48,7 +47,7 @@ TEST(ParallelExactTest, AnswersIdenticalAcross1And2And8Threads) {
 
     for (int threads : {1, 2, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      ParallelExactEvaluator parallel(lb.get(), WithThreads(threads));
+      ExactEvaluator parallel = Parallel(lb.get(), threads);
       EXPECT_EQ(parallel.threads(), threads);
 
       auto answer = parallel.Answer(query);
@@ -77,23 +76,33 @@ TEST(ParallelExactTest, ContainsAgreesWithSequentialPerCandidate) {
     Query query = RandomQuery(seed * 13 + 3, lb->mutable_vocab(), q_params);
     SCOPED_TRACE("seed=" + std::to_string(seed));
 
-    ExactEvaluator sequential(lb.get());
-    ParallelExactEvaluator parallel(lb.get(), WithThreads(4));
-    const ConstId n = static_cast<ConstId>(lb->num_constants());
-    for (ConstId c = 0; c < n; ++c) {
-      Tuple candidate = {c};
-      auto expected = sequential.Contains(query, candidate);
-      auto actual = parallel.Contains(query, candidate);
-      ASSERT_TRUE(expected.ok()) << expected.status();
-      ASSERT_TRUE(actual.ok()) << actual.status();
-      EXPECT_EQ(actual.value(), expected.value())
-          << "candidate " << lb->vocab().ConstantName(c);
+    // A second-order query cannot compile, so it keeps the batched
+    // checker under the work-stealing scheduler too.
+    auto so_query = ParseQuery(lb->mutable_vocab(),
+                               "(hx) . exists2 S/1. S(hx) & "
+                               "forall y. (S(y) -> P0(y))");
+    ASSERT_TRUE(so_query.ok()) << so_query.status();
 
-      auto expected_poss = sequential.IsPossible(query, candidate);
-      auto actual_poss = parallel.IsPossible(query, candidate);
-      ASSERT_TRUE(expected_poss.ok()) << expected_poss.status();
-      ASSERT_TRUE(actual_poss.ok()) << actual_poss.status();
-      EXPECT_EQ(actual_poss.value(), expected_poss.value());
+    ExactEvaluator sequential(lb.get(), {}, ExactSweep::kBatched);
+    ExactEvaluator parallel = Parallel(lb.get(), 4);
+    const ConstId n = static_cast<ConstId>(lb->num_constants());
+    for (const Query* q : {&query, &so_query.value()}) {
+      for (ConstId c = 0; c < n; ++c) {
+        Tuple candidate = {c};
+        auto expected = sequential.Contains(*q, candidate);
+        auto actual = parallel.Contains(*q, candidate);
+        ASSERT_TRUE(expected.ok()) << expected.status();
+        ASSERT_TRUE(actual.ok()) << actual.status();
+        EXPECT_EQ(actual.value(), expected.value())
+            << "candidate " << lb->vocab().ConstantName(c);
+        EXPECT_EQ(parallel.last_used_ra(), q == &query);
+
+        auto expected_poss = sequential.IsPossible(*q, candidate);
+        auto actual_poss = parallel.IsPossible(*q, candidate);
+        ASSERT_TRUE(expected_poss.ok()) << expected_poss.status();
+        ASSERT_TRUE(actual_poss.ok()) << actual_poss.status();
+        EXPECT_EQ(actual_poss.value(), expected_poss.value());
+      }
     }
   }
 }
@@ -111,7 +120,7 @@ TEST(ParallelExactTest, CounterexamplesAreGenuine) {
   auto query = ParseQuery(lb->mutable_vocab(), "(x) . !MURDERER(x)");
   ASSERT_TRUE(query.ok()) << query.status();
 
-  ParallelExactEvaluator parallel(lb.get(), WithThreads(4));
+  ExactEvaluator parallel = Parallel(lb.get(), 4);
   // Disraeli is not provably innocent: the mapping sending Jack to
   // Disraeli falsifies !MURDERER(Disraeli).
   std::optional<Counterexample> counterexample;
@@ -172,17 +181,17 @@ TEST(ParallelExactTest, MaxMappingsIsAccountedGlobally) {
   auto query = ParseQuery(lb->mutable_vocab(), "(x) . P(x)");
   ASSERT_TRUE(query.ok()) << query.status();
 
-  ParallelExactOptions options = WithThreads(4);
-  options.base.max_mappings = 10;
-  ParallelExactEvaluator parallel(lb.get(), options);
+  ExactOptions options;
+  options.max_mappings = 10;
+  ExactEvaluator parallel = Parallel(lb.get(), 4, options);
   auto answer = parallel.Answer(query.value());
   ASSERT_FALSE(answer.ok());
   EXPECT_EQ(answer.status().code(), StatusCode::kResourceExhausted)
       << answer.status();
 
   // A sufficient budget succeeds and counts the full space.
-  options.base.max_mappings = 1000;
-  ParallelExactEvaluator roomy(lb.get(), options);
+  options.max_mappings = 1000;
+  ExactEvaluator roomy = Parallel(lb.get(), 4, options);
   auto ok_answer = roomy.Answer(query.value());
   ASSERT_TRUE(ok_answer.ok()) << ok_answer.status();
 }
@@ -190,7 +199,7 @@ TEST(ParallelExactTest, MaxMappingsIsAccountedGlobally) {
 TEST(ParallelExactTest, ZeroThreadsMeansHardwareConcurrency) {
   auto lb = std::make_unique<CwDatabase>();
   lb->AddUnknownConstant("U0");
-  ParallelExactEvaluator parallel(lb.get(), WithThreads(0));
+  ExactEvaluator parallel = Parallel(lb.get(), 0);
   EXPECT_GE(parallel.threads(), 1);
 }
 
@@ -216,9 +225,7 @@ TEST(ParallelExactTest, WorkStealingSpreadsASkewedSpaceAcrossAllWorkers) {
   ASSERT_TRUE(expected.ok()) << expected.status();
   EXPECT_EQ(expected.value().size(), 10u);
 
-  ParallelExactOptions options = WithThreads(8);
-  options.steal_chunk = 16;
-  ParallelExactEvaluator parallel(lb.get(), options);
+  ExactEvaluator parallel = Parallel(lb.get(), 8);
 
   // Every attempt must compute the exact answer over the exact mapping
   // count; whether all 8 workers retire a range additionally depends on the
@@ -265,7 +272,7 @@ TEST(ParallelExactTest, FullSweepCountsMatchSequential) {
   const uint64_t space = CountCanonicalMappings(*lb);  // B(5) = 52
   ASSERT_EQ(space, 52u);
   for (int threads : {1, 2, 8}) {
-    ParallelExactEvaluator parallel(lb.get(), WithThreads(threads));
+    ExactEvaluator parallel = Parallel(lb.get(), threads);
     auto answer = parallel.Answer(query.value());
     ASSERT_TRUE(answer.ok()) << answer.status();
     EXPECT_EQ(answer.value().size(), 5u);

@@ -2,7 +2,7 @@
 
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/exact/exact.h"
-#include "lqdb/exact/ra_exact.h"
+#include "lqdb/exact/exact.h"
 #include "lqdb/logic/parser.h"
 #include "lqdb/ra/compiler.h"
 #include "lqdb/ra/executor.h"
@@ -356,7 +356,7 @@ TEST_F(RaTest, JoinOrderFollowsCardinalityEstimates) {
   EXPECT_EQ(plan2->child()->left()->pred(), r_);
 }
 
-TEST(RaExactEvaluatorTest, MatchesExactAndCachesPlans) {
+TEST(CompiledSweepTest, MatchesBatchedAndCachesPlans) {
   CwDatabase lb;
   ASSERT_OK(lb.AddFact("TEACHES", {"Socrates", "Plato"}));
   lb.AddUnknownConstant("Mystery");
@@ -364,10 +364,12 @@ TEST(RaExactEvaluatorTest, MatchesExactAndCachesPlans) {
   ASSERT_OK_AND_ASSIGN(Query q,
                        ParseQuery(vocab, "(x) . TEACHES(Socrates, x)"));
 
-  ExactEvaluator exact(&lb);
+  ExactEvaluator exact(&lb, {}, ExactSweep::kBatched);
   ASSERT_OK_AND_ASSIGN(Relation expected, exact.Answer(q));
+  EXPECT_FALSE(exact.last_used_ra());
+  EXPECT_EQ(exact.plan_cache_size(), 0u);
 
-  RaExactEvaluator ra(&lb);
+  ExactEvaluator ra(&lb);
   ASSERT_OK_AND_ASSIGN(Relation got, ra.Answer(q));
   EXPECT_EQ(got, expected);
   EXPECT_TRUE(ra.last_used_ra());
@@ -389,7 +391,7 @@ TEST(RaExactEvaluatorTest, MatchesExactAndCachesPlans) {
   EXPECT_EQ(ra.plan_cache_size(), 2u);
 }
 
-TEST(RaExactEvaluatorTest, SecondOrderQueriesFallBackToTheBatchedPath) {
+TEST(CompiledSweepTest, SecondOrderQueriesFallBackToTheBatchedPath) {
   CwDatabase lb;
   ASSERT_OK(lb.AddFact("P", {"A"}));
   lb.AddUnknownConstant("U");
@@ -397,10 +399,10 @@ TEST(RaExactEvaluatorTest, SecondOrderQueriesFallBackToTheBatchedPath) {
   ASSERT_OK_AND_ASSIGN(Query q,
                        ParseQuery(vocab, "exists2 S/1. exists x. S(x)"));
 
-  ExactEvaluator exact(&lb);
+  ExactEvaluator exact(&lb, {}, ExactSweep::kBatched);
   ASSERT_OK_AND_ASSIGN(bool expected, exact.Contains(q, {}));
 
-  RaExactEvaluator ra(&lb);
+  ExactEvaluator ra(&lb);
   ASSERT_OK_AND_ASSIGN(bool got, ra.Contains(q, {}));
   EXPECT_EQ(got, expected);
   EXPECT_FALSE(ra.last_used_ra());

@@ -20,6 +20,15 @@ raw-mutex
     src/lqdb outside util/annotations.h. All synchronization must go
     through the annotated wrappers so Clang's -Wthread-safety can see it.
 
+mapping-sweep
+    Calls to ``ForEachCanonicalMapping``, ``ForEachMapping``,
+    ``ForEachCanonicalMappingChunk`` or ``ForEachCanonicalMappingInRange``
+    under src/ outside src/lqdb/cwdb/mapping.* and the Theorem 1 driver
+    (src/lqdb/exact/exact.cc). The certain/possible/contains loop was once
+    written eleven times across four engines; every Theorem 1 sweep now
+    goes through ``ExactEvaluator``, so a new engine is a new parameter of
+    that sweep, not a fifth copy of it.
+
 Suppression: append ``// lint:allow(<rule>)`` to the offending line.
 
 Exit status: 0 when clean, 1 when any finding fires, 2 on usage errors.
@@ -56,6 +65,17 @@ RULES = [
         "message": "prefix-parsing integer conversion (use "
                    "ParseStrictUint/ParseStrictInt from lqdb/util/parse.h)",
         "applies": lambda rel: rel.startswith(("src/", "tools/")),
+    },
+    {
+        "name": "mapping-sweep",
+        "regex": re.compile(
+            r"\bForEach(?:CanonicalMapping(?:Chunk|InRange)?|Mapping)\s*\("
+        ),
+        "message": "mapping enumeration outside the Theorem 1 driver (add a "
+                   "parameter to the sweep in src/lqdb/exact/exact.cc)",
+        "applies": lambda rel: (rel.startswith("src/")
+                                and not rel.startswith("src/lqdb/cwdb/mapping.")
+                                and rel != "src/lqdb/exact/exact.cc"),
     },
     {
         "name": "raw-mutex",

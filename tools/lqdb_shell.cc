@@ -35,6 +35,7 @@
 #include "lqdb/engine/engine.h"
 #include "lqdb/eval/answer.h"
 #include "lqdb/eval/evaluator.h"
+#include "lqdb/exact/exact.h"
 #include "lqdb/io/text_format.h"
 #include "lqdb/logic/parser.h"
 #include "lqdb/logic/printer.h"
@@ -289,22 +290,16 @@ class Shell {
     return command;  // "approx", "physical"
   }
 
-  /// `explain`: how the ra-exact engine would evaluate the query — the
-  /// compiled relational-algebra plan (join-ordered against the loaded
+  /// `explain`: how the compiled Theorem 1 sweep would evaluate the query —
+  /// the compiled relational-algebra plan (join-ordered against the loaded
   /// database's cardinalities), its DAG size, and its SQL rendering.
   /// Queries outside the compilable first-order fragment report the
-  /// fallback ra-exact takes instead.
+  /// batched checker the sweep takes instead.
   void Explain(const std::string& text) {
     auto query = ParseQuery(lb_->mutable_vocab(), text);
     if (!query.ok()) return Report(query.status());
-    RaCardinalities stats;
-    stats.domain_size = static_cast<double>(lb_->num_constants());
-    stats.relation_sizes.assign(lb_->vocab().num_predicates(), 0.0);
-    for (PredId p : lb_->PredicatesWithFacts()) {
-      stats.relation_sizes[p] = static_cast<double>(lb_->facts(p).size());
-    }
-    stats.dp_join_cap = options_.exact.ra_dp_join_cap;
-    RaCompiler compiler(&lb_->vocab(), stats);
+    RaCompiler compiler(&lb_->vocab(),
+                        JoinStatsFor(*lb_, options_.exact.ra_dp_join_cap));
     auto plan = compiler.Compile(query.value());
     if (!plan.ok()) {
       std::printf("not compilable to relational algebra: %s\n",
@@ -325,7 +320,7 @@ class Shell {
                 plan.value()->NumUniqueNodes(), plan.value()->NumNodes());
     // The static plan validator's verdict (see src/lqdb/ra/validate.h) on
     // the compiled plan and on its semijoin-reduced form — the shapes the
-    // ra-exact engine actually executes.
+    // compiled sweep actually executes.
     PlanValidateOptions vopts;
     vopts.vocab = &lb_->vocab();
     const Status verdict = ValidatePlan(plan.value(), vopts);
