@@ -17,6 +17,8 @@
 #include "lqdb/cwdb/mapping.h"
 #include "lqdb/engine/engine.h"
 #include "lqdb/exact/exact.h"
+#include "lqdb/gen/scenario.h"
+#include "lqdb/io/text_format.h"
 #include "lqdb/util/table.h"
 
 namespace {
@@ -126,6 +128,63 @@ BENCHMARK(BM_InnerLoopExact)->Name("BM_InnerLoop/exact")
     ->DenseRange(4, 7, 1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_InnerLoopRaExact)->Name("BM_InnerLoop/ra-exact")
     ->DenseRange(4, 7, 1)->Unit(benchmark::kMillisecond);
+
+// The image-build layer alone: one image per canonical mapping of the E10
+// large world (scenario seed 7: 32 known and 2 unknown constants, 256
+// facts per relation), loaded through the text format so the unknowns get
+// the lowest ids, as in every world the service loads. "full" is the
+// one-shot reference `ApplyMappingInto`; "delta" is the sweep's
+// `MappingImage`, which re-maps only the facts on unknowns.
+std::unique_ptr<CwDatabase> LargeTextWorld() {
+  ScenarioParams params;
+  params.num_known = 32;
+  params.num_unknown = 2;
+  params.facts_per_relation = 256;
+  return ParseCwDatabase(SerializeCwDatabase(*MakeScenario(/*seed=*/7, params)))
+      .value();
+}
+
+std::vector<ConstMapping> AllCanonicalMappings(const CwDatabase& lb) {
+  std::vector<ConstMapping> out;
+  ForEachCanonicalMapping(lb, [&](const ConstMapping& h) {
+    out.push_back(h);
+    return true;
+  });
+  return out;
+}
+
+void BM_ImageBuildFull(benchmark::State& state) {
+  auto lb = LargeTextWorld();
+  const std::vector<ConstMapping> mappings = AllCanonicalMappings(*lb);
+  PhysicalDatabase image(&lb->vocab());
+  for (auto _ : state) {
+    for (const ConstMapping& h : mappings) {
+      ApplyMappingInto(*lb, h, &image);
+      benchmark::DoNotOptimize(&image);
+      benchmark::ClobberMemory();
+    }
+  }
+  state.counters["mappings"] = static_cast<double>(mappings.size());
+}
+BENCHMARK(BM_ImageBuildFull)->Name("BM_ImageBuild/full")
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ImageBuildDelta(benchmark::State& state) {
+  auto lb = LargeTextWorld();
+  const std::vector<ConstMapping> mappings = AllCanonicalMappings(*lb);
+  MappingImage image(*lb);
+  for (auto _ : state) {
+    for (const ConstMapping& h : mappings) {
+      Status s = image.Build(h);
+      benchmark::DoNotOptimize(s);
+      benchmark::DoNotOptimize(&image.db());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.counters["mappings"] = static_cast<double>(mappings.size());
+}
+BENCHMARK(BM_ImageBuildDelta)->Name("BM_ImageBuild/delta")
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AllFunctions(benchmark::State& state) {
   auto lb = MakeDb(static_cast<int>(state.range(0)));

@@ -47,6 +47,68 @@ PhysicalDatabase ApplyMapping(const CwDatabase& lb, const ConstMapping& h) {
   return db;
 }
 
+MappingImage::MappingImage(const CwDatabase& lb)
+    : lb_(lb), db_(&lb.vocab()) {}
+
+Status MappingImage::Build(const ConstMapping& h) {
+  const ConstId n = static_cast<ConstId>(h.size());
+  if (n != lb_.num_constants()) {
+    return Status::InvalidArgument("mapping size differs from |C|");
+  }
+  constexpr ConstId kNone = ~ConstId{0};
+  label_.assign(n, kNone);
+  for (ConstId c = 0; c < n; ++c) {
+    if (h[c] >= n) return Status::InvalidArgument("mapping leaves C");
+    ConstId& label = label_[h[c]];
+    if (label == kNone) {
+      label = c;
+    } else if (lb_.IsKnown(c)) {
+      if (lb_.IsKnown(label)) {
+        return Status::Internal("mapping merges known constants " +
+                                lb_.vocab().ConstantName(label) + " and " +
+                                lb_.vocab().ConstantName(c));
+      }
+      label = c;
+    }
+  }
+  hr_.resize(n);
+  for (ConstId c = 0; c < n; ++c) hr_[c] = label_[h[c]];
+
+  for (size_t k = 0; k < num_added_; ++k) {
+    db_.EraseTuple(added_[k].first, added_[k].second);
+  }
+  num_added_ = 0;
+  db_.ClearInterpretation();
+  for (ConstId c = 0; c < n; ++c) db_.AddDomainValue(hr_[c]);
+  for (ConstId c = 0; c < n; ++c) {
+    LQDB_RETURN_IF_ERROR(db_.SetConstant(c, hr_[c]));
+  }
+  if (!split_) {
+    split_ = true;
+    for (PredId p : lb_.PredicatesWithFacts()) {
+      for (const Tuple& t : lb_.facts(p).tuples()) {
+        bool fixed = true;
+        for (ConstId c : t) fixed = fixed && lb_.IsKnown(c);
+        if (fixed) {
+          LQDB_RETURN_IF_ERROR(db_.AddTuple(p, t));
+        } else {
+          volatile_.emplace_back(p, &t);
+        }
+      }
+    }
+  }
+  for (const auto& [p, t] : volatile_) {
+    if (num_added_ == added_.size()) added_.emplace_back();
+    auto& [pred, image] = added_[num_added_];
+    pred = p;
+    image.resize(t->size());
+    for (size_t i = 0; i < t->size(); ++i) image[i] = hr_[(*t)[i]];
+    LQDB_ASSIGN_OR_RETURN(const bool added, db_.InsertTuple(p, image));
+    if (added) ++num_added_;
+  }
+  return Status::OK();
+}
+
 namespace {
 
 /// Backtracking enumeration of NE-avoiding partitions via restricted-growth

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "lqdb/cwdb/cw_database.h"
@@ -25,12 +26,63 @@ bool RespectsUniqueness(const CwDatabase& lb, const ConstMapping& h);
 PhysicalDatabase ApplyMapping(const CwDatabase& lb, const ConstMapping& h);
 
 /// `ApplyMapping` into a caller-owned scratch database, reusing its
-/// hash-table and relation capacity across calls — the enumeration hot
-/// loops build one image per mapping, and rebuilding the containers from
-/// scratch dominates the per-mapping cost. `scratch` must have been
+/// hash-table and relation capacity across calls: a full rebuild of every
+/// relation, kept as the one-shot reference the incremental `MappingImage`
+/// is tested and benchmarked against. `scratch` must have been
 /// constructed against `lb.vocab()` (the same vocabulary object).
 void ApplyMappingInto(const CwDatabase& lb, const ConstMapping& h,
                       PhysicalDatabase* scratch);
+
+/// The image builder of the Theorem 1 sweep: one image per mapping, built
+/// incrementally in one owned database whose address never changes.
+///
+/// `Build(h)` does not build `h(Ph₁(LB))` itself but its relabeling under
+/// `hr`: every block of `h` (the constants `h` sends to one value) is
+/// labeled by its known member, or by its least member when it has none.
+/// `hr` has the kernel of `h`, so its image is isomorphic to `h`'s — the
+/// argument that justifies canonical mappings — and any mapping works,
+/// canonical or not. A block holds at most one known constant, because `h`
+/// respects the uniqueness axioms, so `hr` fixes every known constant. A
+/// fact over known constants only is thus the same row of every image: it
+/// is inserted once, on the first build. Per mapping only the facts that
+/// mention an unknown constant are re-mapped, after the rows the previous
+/// build added are erased. A volatile row that equals a fixed one was not
+/// added, so the erase keeps the fixed row.
+///
+/// Labeling by least member alone would not fix the known constants: a
+/// world loaded from the text format gives its unknowns the lowest ids.
+///
+/// `lb` must outlive the builder and must not change while it is in use.
+class MappingImage {
+ public:
+  explicit MappingImage(const CwDatabase& lb);
+
+  MappingImage(const MappingImage&) = delete;
+  MappingImage& operator=(const MappingImage&) = delete;
+
+  /// Makes `db()` the image of `relabeled()`, the relabeling of `h`.
+  /// `Internal` when `h` merges two known constants, `InvalidArgument`
+  /// when `h` is not a map `C → C`; `db()` then still holds the previous
+  /// image.
+  Status Build(const ConstMapping& h);
+
+  const PhysicalDatabase& db() const { return db_; }
+  /// `hr` of the last successful `Build`.
+  const ConstMapping& relabeled() const { return hr_; }
+
+ private:
+  const CwDatabase& lb_;
+  PhysicalDatabase db_;
+  ConstMapping hr_;
+  std::vector<ConstId> label_;  // per value of h: its block's label
+  bool split_ = false;
+  /// Facts mentioning an unknown constant, re-mapped per build.
+  std::vector<std::pair<PredId, const Tuple*>> volatile_;
+  /// The rows the last build added; `added_[0, num_added_)` are live, the
+  /// rest keep their capacity.
+  std::vector<std::pair<PredId, Tuple>> added_;
+  size_t num_added_ = 0;
+};
 
 /// Visitor over mappings; return false to stop the enumeration.
 using MappingVisitor = std::function<bool(const ConstMapping&)>;

@@ -70,22 +70,23 @@ Status BudgetExceeded(uint64_t max_mappings) {
 /// One worker's per-image check: the kernel memo first — when every open
 /// candidate's verdict is already known the image is never built — then
 /// the image of `h` and one checker call over the misses only, whose
-/// verdicts are recorded in the memo.
+/// verdicts are recorded in the memo. The image is `MappingImage`'s
+/// relabeling `hr` of `h`, so the checked rows are mapped through `hr`;
+/// the memo keys are taken from `h` itself.
 class ImageCheck {
  public:
   ImageCheck(const CwDatabase& lb, const BoundQuery& bound,
              const ReducedPlan* plan, const EvalOptions& eval,
              KernelMemo* memo, const KernelSignatureContext* ctx)
-      : lb_(lb),
-        bound_(bound),
+      : bound_(bound),
         plan_(plan),
-        image_(&lb.vocab()),
-        eval_(&image_, eval),
-        exec_(&image_),
+        image_(lb),
+        eval_(&image_.db(), eval),
+        exec_(&image_.db()),
         memo_(memo),
         ctx_(ctx) {}
 
-  // `eval_` and `exec_` hold the address of `image_`.
+  // `eval_` and `exec_` hold the address of `image_.db()`.
   ImageCheck(const ImageCheck&) = delete;
   ImageCheck& operator=(const ImageCheck&) = delete;
 
@@ -124,12 +125,13 @@ class ImageCheck {
       std::iota(miss_.begin(), miss_.end(), 0u);
     }
 
-    ApplyMappingInto(lb_, h, &image_);
+    LQDB_RETURN_IF_ERROR(image_.Build(h));
+    const ConstMapping& hr = image_.relabeled();
     const size_t misses = miss_.size();
     rows_.resize(misses * arity);
     for (size_t j = 0; j < misses; ++j) {
       const Tuple& c = candidates[open[miss_[j]]];
-      for (size_t i = 0; i < arity; ++i) rows_[j * arity + i] = h[c[i]];
+      for (size_t i = 0; i < arity; ++i) rows_[j * arity + i] = hr[c[i]];
     }
     LQDB_RETURN_IF_ERROR(CheckMisses(misses));
     for (size_t j = 0; j < misses; ++j) {
@@ -147,7 +149,7 @@ class ImageCheck {
 
  private:
   /// The checker: `rows_` holds `count` mapped candidates; fills
-  /// `miss_verdicts_` with their membership in `Q(image_)`.
+  /// `miss_verdicts_` with their membership in `Q(image_.db())`.
   Status CheckMisses(size_t count) {
     if (plan_ == nullptr) {
       return eval_.SatisfiesBatch(bound_, rows_.data(), count,
@@ -169,10 +171,9 @@ class ImageCheck {
     return Status::OK();
   }
 
-  const CwDatabase& lb_;
   const BoundQuery& bound_;
   const ReducedPlan* plan_;  // null: the batched evaluator
-  PhysicalDatabase image_;
+  MappingImage image_;
   Evaluator eval_;
   RaExecutor exec_;
   KernelMemo* memo_;  // null with the memo off

@@ -5,13 +5,17 @@
 namespace lqdb {
 
 void PhysicalDatabase::Clear() {
-  domain_.clear();
-  domain_set_.clear();
-  constants_.clear();
+  ClearInterpretation();
   for (auto& [pred, rel] : relations_) {
     (void)pred;
     rel.Clear();
   }
+}
+
+void PhysicalDatabase::ClearInterpretation() {
+  domain_.clear();
+  domain_set_.clear();
+  constants_.clear();
 }
 
 Status PhysicalDatabase::SetConstant(ConstId c, Value v) {
@@ -37,6 +41,10 @@ Value PhysicalDatabase::ConstantValue(ConstId c) const {
 }
 
 Status PhysicalDatabase::AddTuple(PredId pred, Tuple t) {
+  return InsertTuple(pred, std::move(t)).status();
+}
+
+Result<bool> PhysicalDatabase::InsertTuple(PredId pred, Tuple t) {
   if (pred >= vocab_->num_predicates()) {
     return Status::NotFound("unknown predicate id");
   }
@@ -55,8 +63,12 @@ Status PhysicalDatabase::AddTuple(PredId pred, Tuple t) {
   if (it == relations_.end()) {
     it = relations_.emplace(pred, Relation(arity)).first;
   }
-  it->second.Insert(std::move(t));
-  return Status::OK();
+  return it->second.Insert(std::move(t));
+}
+
+bool PhysicalDatabase::EraseTuple(PredId pred, const Tuple& t) {
+  auto it = relations_.find(pred);
+  return it != relations_.end() && it->second.Erase(t);
 }
 
 Status PhysicalDatabase::SetRelation(PredId pred, Relation rel) {

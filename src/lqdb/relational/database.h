@@ -41,6 +41,11 @@ class PhysicalDatabase {
   /// ones under the closed-world reading of `relation()`.
   void Clear();
 
+  /// Empties the domain and the constant assignment but leaves every
+  /// relation as it is — for image builders that update the relations
+  /// incrementally (see `MappingImage`).
+  void ClearInterpretation();
+
   /// Domain values in insertion order.
   const std::vector<Value>& domain() const { return domain_; }
   bool InDomain(Value v) const { return domain_set_.count(v) > 0; }
@@ -65,6 +70,12 @@ class PhysicalDatabase {
   /// first use. All values must be in the domain and the tuple arity must
   /// match the predicate arity.
   Status AddTuple(PredId pred, Tuple t);
+
+  /// `AddTuple` with the same checks, reporting whether `t` was new.
+  Result<bool> InsertTuple(PredId pred, Tuple t);
+
+  /// Removes `t` from the relation of `pred`; returns whether it was there.
+  bool EraseTuple(PredId pred, const Tuple& t);
 
   /// Replaces the relation of `pred` wholesale (arity checked).
   Status SetRelation(PredId pred, Relation rel);

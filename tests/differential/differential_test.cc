@@ -21,13 +21,18 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lqdb/approx/approx.h"
+#include "lqdb/cwdb/mapping.h"
 #include "lqdb/engine/engine.h"
+#include "lqdb/eval/evaluator.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
+#include "lqdb/io/text_format.h"
 #include "lqdb/logic/classify.h"
+#include "lqdb/logic/parser.h"
 #include "lqdb/logic/printer.h"
 #include "lqdb/ra/compiler.h"
 #include "lqdb/ra/semijoin.h"
@@ -707,6 +712,114 @@ TEST(DifferentialTest, MemoizedAgreesOnAdversarialProfiles) {
       }
     }
   }
+}
+
+/// Theorem 1 with every image rebuilt from scratch: each canonical mapping
+/// `h`, its image by `ApplyMapping`, and `Evaluator::Answer` on that image;
+/// candidate `c` holds in the image iff `h(c)` is in the image's answer.
+/// Shares nothing with `ExactEvaluator` beyond the enumeration. Returns the
+/// certain and the possible answer.
+Result<std::pair<Relation, Relation>> FullRebuildAnswers(const CwDatabase& db,
+                                                         const Query& query) {
+  const std::vector<Tuple> candidates = AllCandidateTuples(
+      query.arity(), static_cast<ConstId>(db.num_constants()));
+  std::vector<char> always(candidates.size(), 1);
+  std::vector<char> ever(candidates.size(), 0);
+  Status error;
+  ForEachCanonicalMapping(db, [&](const ConstMapping& h) {
+    const PhysicalDatabase image = ApplyMapping(db, h);
+    Result<Relation> holds = Evaluator(&image).Answer(query);
+    if (!holds.ok()) {
+      error = holds.status();
+      return false;
+    }
+    for (size_t k = 0; k < candidates.size(); ++k) {
+      Tuple mapped;
+      for (ConstId c : candidates[k]) mapped.push_back(h[c]);
+      const bool in = holds->Contains(mapped);
+      always[k] = always[k] && in;
+      ever[k] = ever[k] || in;
+    }
+    return true;
+  });
+  if (!error.ok()) return error;
+  const int arity = static_cast<int>(query.arity());
+  std::pair<Relation, Relation> answers(Relation{arity}, Relation{arity});
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    if (always[k]) answers.first.Insert(candidates[k]);
+    if (ever[k]) answers.second.Insert(candidates[k]);
+  }
+  return answers;
+}
+
+/// The round-trip dimension. Every registry engine builds its images with
+/// the same incremental builder (`MappingImage`), so comparing the engines
+/// with one another cannot catch a bug in it. Here every corpus instance
+/// is round-tripped through the text format, which declares the unknowns
+/// first: they get the lowest ids, so the builder's labels are not the
+/// identity. Every Theorem 1 engine, with the memo on and off, must then
+/// match the full-rebuild reference above, certain and possible answers
+/// alike; brute runs on the 268-instance pool.
+TEST(DifferentialTest, RoundTrippedWorldsMatchFullRebuildReference) {
+  struct Sweep {
+    InstanceProfile profile;
+    uint64_t seeds;
+  };
+  const Sweep sweeps[] = {
+      {InstanceProfile::kTiny, 40},   {InstanceProfile::kSmall, 40},
+      {InstanceProfile::kBinary, 40}, {InstanceProfile::kSmall, 30},
+      {InstanceProfile::kBinary, 30}, {InstanceProfile::kFullySpecified, 40},
+      {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
+      {InstanceProfile::kSkewed, 20}, {InstanceProfile::kLarge, 6},
+  };
+  uint64_t instances = 0;
+  uint64_t relabeled = 0;
+  for (const Sweep& sweep : sweeps) {
+    for (uint64_t seed = 0; seed < sweep.seeds; ++seed) {
+      ++instances;
+      DifferentialInstance original = MakeInstance(seed, sweep.profile);
+      ASSERT_OK_AND_ASSIGN(
+          std::unique_ptr<CwDatabase> db,
+          ParseCwDatabase(SerializeCwDatabase(*original.db)));
+      ASSERT_OK_AND_ASSIGN(
+          Query query,
+          ParseQuery(db->mutable_vocab(),
+                     PrintQuery(original.db->vocab(), original.query)));
+      DifferentialInstance instance(seed, sweep.profile, std::move(db),
+                                    std::move(query));
+      SCOPED_TRACE(Describe(instance));
+      if (!instance.db->IsKnown(0)) ++relabeled;
+
+      ASSERT_OK_AND_ASSIGN(const auto reference,
+                           FullRebuildAnswers(*instance.db, instance.query));
+      // Brute's |C|^|C| space is intractable on the adversarial profiles
+      // (as in MemoizedAgreesOnAdversarialProfiles).
+      const bool adversarial = sweep.profile == InstanceProfile::kSkewed ||
+                               sweep.profile == InstanceProfile::kLarge;
+      for (const char* name :
+           {"brute", "exact", "batched-exact", "parallel-exact"}) {
+        for (bool memo : {false, true}) {
+          if (std::string(name) == "brute" && adversarial) continue;
+          SCOPED_TRACE(std::string(name) + (memo ? " memo" : " no-memo"));
+          std::unique_ptr<QueryEngine> engine =
+              MakeEngine(name, instance.db.get(), /*threads=*/4, memo);
+          ASSERT_OK_AND_ASSIGN(Relation answer,
+                               engine->Answer(instance.query));
+          EXPECT_EQ(answer, reference.first)
+              << AnswerDiff(*instance.db, name, answer, "reference",
+                            reference.first);
+          if (!engine->capabilities().supports_possible) continue;
+          ASSERT_OK_AND_ASSIGN(Relation possible,
+                               engine->PossibleAnswer(instance.query));
+          EXPECT_EQ(possible, reference.second)
+              << AnswerDiff(*instance.db, name, possible, "reference",
+                            reference.second);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(instances, 294u);
+  EXPECT_GT(relabeled, instances / 2);
 }
 
 /// First-principles cross-check on tiny instances: membership according to

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,6 +15,8 @@
 
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/cwdb/mapping.h"
+#include "lqdb/eval/evaluator.h"
+#include "lqdb/logic/parser.h"
 #include "lqdb/util/rng.h"
 #include "tests/testing.h"
 
@@ -248,6 +251,184 @@ TEST(MappingEnumeratorTest, ApplyMappingIntoMatchesApplyMapping) {
     }
     return true;
   });
+}
+
+/// Two unknowns `u0, u1` and three knowns `k0, k1, k2`, declared unknowns
+/// first (the order the text format loads) or knowns first, with `u0 ≠ u1`
+/// and facts over both kinds. `R(u0, k1)` under `u0 → k0` equals the fixed
+/// fact `R(k0, k1)`.
+std::unique_ptr<CwDatabase> MakeFactWorld(bool unknowns_first) {
+  auto lb = std::make_unique<CwDatabase>();
+  auto unknowns = [&] {
+    lb->AddUnknownConstant("u0");
+    lb->AddUnknownConstant("u1");
+  };
+  auto knowns = [&] {
+    for (const char* k : {"k0", "k1", "k2"}) lb->AddKnownConstant(k);
+  };
+  if (unknowns_first) {
+    unknowns();
+    knowns();
+  } else {
+    knowns();
+    unknowns();
+  }
+  EXPECT_OK(lb->AddDistinct("u0", "u1"));
+  EXPECT_TRUE(lb->AddPredicate("P", 1).ok());
+  EXPECT_TRUE(lb->AddPredicate("R", 2).ok());
+  for (const std::vector<std::string_view>& fact :
+       std::vector<std::vector<std::string_view>>{
+           {"P", "u0"}, {"P", "k0"}, {"R", "k0", "k1"}, {"R", "u0", "k1"},
+           {"R", "k1", "k2"}, {"R", "u1", "u0"}, {"R", "u1", "u1"},
+           {"R", "k2", "u1"}}) {
+    EXPECT_OK(lb->AddFact(fact[0], {fact.begin() + 1, fact.end()}));
+  }
+  return lb;
+}
+
+/// Checks that the builder's image is `ApplyMapping(lb, h)` up to the
+/// bijection from the blocks of `h` to the labels of `image.relabeled()`:
+/// the same domain, constants and relations once every label is mapped
+/// back to the value `h` gives its block. Also checks that the labels are
+/// block members and that every known constant labels itself.
+void ExpectIsomorphicImage(const CwDatabase& lb, const ConstMapping& h,
+                           const MappingImage& image) {
+  const ConstMapping& hr = image.relabeled();
+  ASSERT_EQ(hr.size(), h.size());
+  std::map<Value, Value> back;     // label → h-value
+  std::map<Value, Value> forward;  // h-value → label
+  for (ConstId c = 0; c < h.size(); ++c) {
+    EXPECT_EQ(back.emplace(hr[c], h[c]).first->second, h[c]);
+    EXPECT_EQ(forward.emplace(h[c], hr[c]).first->second, hr[c]);
+    EXPECT_EQ(h[hr[c]], h[c]) << "label is not a block member";
+    if (lb.IsKnown(c)) EXPECT_EQ(hr[c], c) << "known constant relabeled";
+  }
+
+  const PhysicalDatabase ref = ApplyMapping(lb, h);
+  const PhysicalDatabase& got = image.db();
+  ASSERT_EQ(got.domain_size(), ref.domain_size());
+  for (Value v : got.domain()) EXPECT_TRUE(ref.InDomain(back.at(v)));
+  for (ConstId c = 0; c < h.size(); ++c) {
+    EXPECT_EQ(back.at(got.ConstantValue(c)), ref.ConstantValue(c));
+  }
+  for (PredId pred = 0; pred < lb.vocab().num_predicates(); ++pred) {
+    const Relation& rel = got.relation(pred);
+    Relation mapped(rel.arity());
+    for (const Tuple& t : rel.tuples()) {
+      Tuple u(t.size());
+      for (size_t i = 0; i < t.size(); ++i) u[i] = back.at(t[i]);
+      mapped.Insert(std::move(u));
+    }
+    EXPECT_EQ(rel.size(), mapped.size());
+    EXPECT_EQ(mapped, ref.relation(pred)) << "pred " << pred;
+  }
+}
+
+TEST(MappingImageTest, IsomorphicToApplyMappingOnEveryMapping) {
+  for (bool unknowns_first : {true, false}) {
+    SCOPED_TRACE(unknowns_first ? "unknowns first" : "knowns first");
+    auto lb = MakeFactWorld(unknowns_first);
+    // One builder per enumeration, reused across all of its mappings.
+    MappingImage canonical(*lb);
+    uint64_t count = ForEachCanonicalMapping(*lb, [&](const ConstMapping& h) {
+      EXPECT_OK(canonical.Build(h));
+      ExpectIsomorphicImage(*lb, h, canonical);
+      return true;
+    });
+    EXPECT_GT(count, 1u);
+    MappingImage brute(*lb);
+    count = ForEachMapping(*lb, [&](const ConstMapping& h) {
+      EXPECT_OK(brute.Build(h));
+      ExpectIsomorphicImage(*lb, h, brute);
+      return true;
+    });
+    EXPECT_GT(count, 1u);
+  }
+}
+
+TEST(MappingImageTest, VolatileRowEqualToFixedRowSurvivesTheErase) {
+  auto lb = MakeFactWorld(/*unknowns_first=*/true);
+  const ConstId u0 = lb->vocab().FindConstant("u0");
+  const ConstId k0 = lb->vocab().FindConstant("k0");
+  const ConstId k1 = lb->vocab().FindConstant("k1");
+  const PredId r = lb->vocab().FindPredicate("R");
+  ConstMapping merged = IdentityMapping(lb->num_constants());
+  merged[k0] = u0;  // the block {u0, k0}, labeled k0
+  MappingImage image(*lb);
+  ASSERT_OK(image.Build(merged));
+  EXPECT_EQ(image.relabeled()[u0], k0);
+  // Back to the identity: the erase of the previous build's rows must keep
+  // the stored R(k0, k1), which the merged image also produced from
+  // R(u0, k1).
+  ASSERT_OK(image.Build(IdentityMapping(lb->num_constants())));
+  EXPECT_TRUE(image.db().relation(r).Contains({k0, k1}));
+  EXPECT_TRUE(image.db().relation(r).Contains({u0, k1}));
+  ExpectIsomorphicImage(*lb, IdentityMapping(lb->num_constants()), image);
+}
+
+TEST(MappingImageTest, ReuseAfterASkippedImage) {
+  // The sweep skips the build when the memo serves every verdict; the next
+  // build starts from the last image actually built.
+  auto lb = MakeFactWorld(/*unknowns_first=*/true);
+  std::vector<ConstMapping> mappings;
+  ForEachCanonicalMapping(*lb, [&](const ConstMapping& h) {
+    mappings.push_back(h);
+    return true;
+  });
+  ASSERT_GE(mappings.size(), 3u);
+  MappingImage image(*lb);
+  for (size_t i = 0; i < mappings.size(); i += 2) {
+    ASSERT_OK(image.Build(mappings[i]));
+    ExpectIsomorphicImage(*lb, mappings[i], image);
+  }
+}
+
+TEST(MappingImageTest, UnknownQueryConstantEvaluatesThroughTheLabels) {
+  // A query constant is interpreted by the image's constant assignment,
+  // which the builder sets to the labels: answers mapped back through the
+  // bijection match the full rebuild's.
+  for (bool unknowns_first : {true, false}) {
+    SCOPED_TRACE(unknowns_first ? "unknowns first" : "knowns first");
+    auto lb = MakeFactWorld(unknowns_first);
+    ASSERT_OK_AND_ASSIGN(
+        Query q, ParseQuery(lb->mutable_vocab(), "(x) . R(x, u0) | P(u1)"));
+    MappingImage image(*lb);
+    ForEachCanonicalMapping(*lb, [&](const ConstMapping& h) {
+      EXPECT_OK(image.Build(h));
+      std::map<Value, Value> back;
+      for (ConstId c = 0; c < h.size(); ++c) back[image.relabeled()[c]] = h[c];
+      const PhysicalDatabase ref_db = ApplyMapping(*lb, h);
+      Result<Relation> ref = Evaluator(&ref_db).Answer(q);
+      Result<Relation> got = Evaluator(&image.db()).Answer(q);
+      EXPECT_OK(ref.status());
+      EXPECT_OK(got.status());
+      if (!ref.ok() || !got.ok()) return false;
+      Relation mapped(1);
+      for (const Tuple& t : got->tuples()) mapped.Insert({back.at(t[0])});
+      EXPECT_EQ(mapped, *ref);
+      return true;
+    });
+  }
+}
+
+TEST(MappingImageTest, MergingTwoKnownConstantsFailsClosed) {
+  auto lb = MakeFactWorld(/*unknowns_first=*/true);
+  const ConstId k0 = lb->vocab().FindConstant("k0");
+  const ConstId k1 = lb->vocab().FindConstant("k1");
+  ConstMapping bad = IdentityMapping(lb->num_constants());
+  bad[k1] = k0;
+  ASSERT_FALSE(RespectsUniqueness(*lb, bad));
+  MappingImage image(*lb);
+  ASSERT_OK(image.Build(IdentityMapping(lb->num_constants())));
+  EXPECT_EQ(image.Build(bad).code(), StatusCode::kInternal);
+  // So does a mapping that is not a map C → C.
+  bad = IdentityMapping(lb->num_constants());
+  bad.back() = static_cast<ConstId>(lb->num_constants());
+  EXPECT_EQ(image.Build(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(image.Build(IdentityMapping(2)).code(),
+            StatusCode::kInvalidArgument);
+  // The failed builds left the previous image in place.
+  ExpectIsomorphicImage(*lb, IdentityMapping(lb->num_constants()), image);
 }
 
 }  // namespace

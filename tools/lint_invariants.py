@@ -15,6 +15,13 @@ prefix-parse
     than returning an error) on out-of-range input. Use the strict
     helpers in src/lqdb/util/parse.h instead.
 
+image-build
+    Calls to ``ApplyMappingInto`` under src/ outside
+    src/lqdb/cwdb/mapping.*. It rebuilds every relation of an image; the
+    Theorem 1 sweep builds its images with ``MappingImage``, which inserts
+    the facts over known constants once and re-maps only the rest, and
+    must not fall back to full rebuilds.
+
 raw-mutex
     Raw ``std::mutex`` / ``std::condition_variable`` / lock types inside
     src/lqdb outside util/annotations.h. All synchronization must go
@@ -76,6 +83,14 @@ RULES = [
         "applies": lambda rel: (rel.startswith("src/")
                                 and not rel.startswith("src/lqdb/cwdb/mapping.")
                                 and rel != "src/lqdb/exact/exact.cc"),
+    },
+    {
+        "name": "image-build",
+        "regex": re.compile(r"\bApplyMappingInto\s*\("),
+        "message": "full image rebuild outside the mapping layer (build "
+                   "images with MappingImage from lqdb/cwdb/mapping.h)",
+        "applies": lambda rel: (rel.startswith("src/")
+                                and not rel.startswith("src/lqdb/cwdb/mapping.")),
     },
     {
         "name": "raw-mutex",
