@@ -209,7 +209,7 @@ BENCHMARK(BM_AllFunctions)->DenseRange(4, 6, 1)
 void BM_ParallelCanonical(benchmark::State& state) {
   auto lb = MakeDb(9);
   Query q = MustParse(lb.get(), kQuery);
-  ExactEvaluator parallel(lb.get(), {}, ExactSweep::kParallel,
+  ExactEvaluator parallel(lb.get(), {}, ExactSweep::kExact,
                           static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto answer = parallel.Answer(q);
@@ -276,7 +276,7 @@ void PrintSummaryTable() {
                         std::to_string(exact.last_mappings_examined()),
                         FormatDouble(sequential_s, 4), "1.00x", "yes"});
   for (int threads : {1, 2, 4, 8}) {
-    ExactEvaluator parallel(lb.get(), {}, ExactSweep::kParallel, threads);
+    ExactEvaluator parallel(lb.get(), {}, ExactSweep::kExact, threads);
     Relation answer(0);
     double t = Seconds([&] { answer = parallel.Answer(q).value(); });
     threads_table.AddRow(

@@ -1,6 +1,7 @@
 // The builtin engine adapters: thin QueryEngine shims over the concrete
 // evaluators, so every evaluation strategy in the library is reachable
 // through one string-keyed API (shell, benches, differential harness).
+#include <string>
 #include <utility>
 
 #include "lqdb/cwdb/ph.h"
@@ -135,19 +136,21 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
   // 1.5–10x faster than the batched Tarskian sweep on the E10 large-world
   // join rows — and silently takes the batched checker for queries outside
   // the compilable first-order fragment; "batched-exact" keeps the batched
-  // checker for benches and ablations. Brute's possible answer is not part
-  // of its registered contract.
+  // checker for benches and ablations. "parallel-exact" is "exact" over
+  // `EngineOptions::threads` workers; the others run on one. Brute's
+  // possible answer is not part of its registered contract.
   struct TheoremOneName {
     const char* name;
     ExactSweep sweep;
+    bool threaded;
     bool supports_possible;
   };
   const TheoremOneName kTheoremOne[] = {
-      {"brute", ExactSweep::kBrute, false},
-      {"exact", ExactSweep::kExact, true},
-      {"ra-exact", ExactSweep::kExact, true},
-      {"batched-exact", ExactSweep::kBatched, true},
-      {"parallel-exact", ExactSweep::kParallel, true},
+      {"brute", ExactSweep::kBrute, false, false},
+      {"exact", ExactSweep::kExact, false, true},
+      {"ra-exact", ExactSweep::kExact, false, true},
+      {"batched-exact", ExactSweep::kBatched, false, true},
+      {"parallel-exact", ExactSweep::kExact, true, true},
   };
   for (const TheoremOneName& entry : kTheoremOne) {
     EngineCapabilities caps;
@@ -158,15 +161,15 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
         entry.name, caps,
         [caps, entry](CwDatabase* lb, const EngineOptions& options)
             -> Result<std::unique_ptr<QueryEngine>> {
-          ExactOptions exact = options.exact;
-          if (entry.sweep == ExactSweep::kBrute) {
-            exact.max_mappings = options.brute.max_mappings;
-            exact.memo = options.brute.memo;
-            exact.memo_max_entries = options.brute.memo_max_entries;
-            exact.eval = options.brute.eval;
+          // Checked before any pool exists: the count becomes OS threads.
+          if (options.threads < 0 || options.threads > kMaxSweepThreads) {
+            return Status::InvalidArgument(
+                "threads must be in [0, " + std::to_string(kMaxSweepThreads) +
+                "] (0 = hardware)");
           }
           return std::unique_ptr<QueryEngine>(new TheoremOneEngine(
-              entry.name, caps, lb, exact, entry.sweep, options.threads));
+              entry.name, caps, lb, options.exact, entry.sweep,
+              entry.threaded ? options.threads : 1));
         });
   }
   {

@@ -12,7 +12,6 @@
 #include "lqdb/approx/approx.h"
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/eval/bound_query.h"
-#include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
 #include "lqdb/logic/query.h"
 #include "lqdb/relational/relation.h"
@@ -50,10 +49,12 @@ struct EngineCapabilities {
 /// (instead of per-engine variants) is what lets the shell, the benches and
 /// the differential harness configure any engine by name.
 struct EngineOptions {
+  /// Options of every Theorem 1 name, `brute` included.
   ExactOptions exact;
-  BruteOptions brute;
   ApproxOptions approx;
-  /// Worker threads of `parallel-exact`; 0 means hardware concurrency.
+  /// Worker count of the `parallel-exact` sweep; 0 means hardware
+  /// concurrency. Every Theorem 1 factory rejects values outside
+  /// `[0, kMaxSweepThreads]` with `InvalidArgument`.
   int threads = 0;
 };
 
@@ -145,19 +146,19 @@ class EngineRegistry {
 /// Registers the builtin engines into `registry` (idempotent per registry;
 /// called by `EngineRegistry::Global()`). The five Theorem 1 names share
 /// one adapter over `ExactEvaluator`, each fixing the sweep's mapping
-/// source, per-image checker and scheduler (`ExactSweep`):
+/// source and per-image checker (`ExactSweep`) and its worker count:
 ///
 ///   - "brute"          — every mapping `h : C → C` (Theorem 1 literally),
-///                        compiled checker, serial; no possible answer
+///                        compiled checker, one worker; no possible answer
 ///   - "exact"          — canonical kernel-partition mappings, the
 ///                        query's compiled relational-algebra plan as the
 ///                        checker (the batched evaluator for second-order
-///                        queries), serial
+///                        queries), one worker
 ///   - "ra-exact"       — an alias of "exact"
 ///   - "batched-exact"  — canonical mappings, batched Tarskian checker,
-///                        serial
-///   - "parallel-exact" — canonical mappings, compiled checker, work
-///                        stealing over `EngineOptions::threads` workers
+///                        one worker
+///   - "parallel-exact" — "exact" with work stealing over
+///                        `EngineOptions::threads` workers
 ///   - "approx"         — the §5 sound polynomial approximation
 ///   - "physical"       — naive evaluation over `Ph₁` (ignores nulls;
 ///                        neither sound nor complete — a baseline)

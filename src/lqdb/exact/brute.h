@@ -5,25 +5,11 @@
 
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/eval/evaluator.h"
-#include "lqdb/eval/kernel_memo.h"
 #include "lqdb/logic/query.h"
 #include "lqdb/relational/relation.h"
 #include "lqdb/util/result.h"
 
 namespace lqdb {
-
-/// Options of the `brute` registry engine (`ExactSweep::kBrute`); the
-/// engine takes the remaining `ExactOptions` fields from the `exact` ones.
-struct BruteOptions {
-  /// Hard cap on the number of mappings (|C|^|C| grows fast).
-  uint64_t max_mappings = 50'000'000;
-  /// Kernel-class verdict memoization (see ExactOptions::memo). The brute
-  /// enumeration revisits each kernel partition many times, so the memo
-  /// pays off even more than on the canonical sweep.
-  bool memo = true;
-  size_t memo_max_entries = KernelMemo::kDefaultMaxEntries;
-  EvalOptions eval;
-};
 
 /// `base^exp` in integer arithmetic, saturating at `UINT64_MAX` on
 /// overflow. The brute-force engine sizes its |C|^|C| enumeration with

@@ -200,31 +200,50 @@ std::string CacheKey(const Vocabulary& vocab, const Query& query) {
 
 }  // namespace
 
-/// The work-stealing scheduler of one `kParallel` sweep: the shared range
-/// queue, the cooperative stop flag, the global mapping budget and the
-/// first error. The queue is seeded by `SplitCanonicalMappingSpace`; a
-/// worker takes the largest remaining range (the shallowest RGS prefix
-/// covers the most partitions), walks at most `kStealChunk` mappings of it
-/// with `ForEachCanonicalMappingChunk`, and pushes the unvisited remainder
-/// back for idle workers. Idle workers block on the queue's condition
-/// variable; the fan-out ends when the queue is empty with no worker
-/// mid-chunk, or when the stop flag rises.
+/// The scheduler of one sweep: the cooperative stop flag, the global
+/// mapping budget and the first error, plus — with a pool — the shared
+/// range queue. Without a pool the calling thread walks the whole space as
+/// worker 0, in enumeration order. With one, the queue is seeded by
+/// `SplitCanonicalMappingSpace`; a worker takes the largest remaining range
+/// (the shallowest RGS prefix covers the most partitions), walks at most
+/// `kStealChunk` mappings of it with `ForEachCanonicalMappingChunk`, and
+/// pushes the unvisited remainder back for idle workers. Idle workers block
+/// on the queue's condition variable; the fan-out ends when the queue is
+/// empty with no worker mid-chunk, or when the stop flag rises.
 class ExactEvaluator::Walk {
  public:
-  Walk(const CwDatabase* lb, ThreadPool* pool, uint64_t max_mappings)
-      : lb_(lb), pool_(pool), max_mappings_(max_mappings) {
-    queue_ = SplitCanonicalMappingSpace(
-        *lb, static_cast<size_t>(pool->num_threads()) * kRangesPerThread);
-    worker_ranges_.assign(pool->num_threads(), 0);
+  Walk(const CwDatabase* lb, ThreadPool* pool, bool brute,
+       uint64_t max_mappings)
+      : lb_(lb),
+        pool_(pool),
+        brute_(brute),
+        max_mappings_(max_mappings),
+        worker_ranges_(pool == nullptr ? 1 : pool->num_threads(), 0) {
+    if (pool != nullptr) {
+      queue_ = SplitCanonicalMappingSpace(
+          *lb, worker_ranges_.size() * kRangesPerThread);
+    }
   }
 
-  /// Runs `per_mapping(worker, h)` over every canonical mapping, fanned
-  /// across the pool; `per_mapping` returns false to abort the whole walk
-  /// (after calling `Stop()` or `RecordError()` so other workers stand
-  /// down). Blocks until all workers finish.
+  /// Runs `per_mapping(worker, h)` over every mapping of the space;
+  /// `per_mapping` returns false to abort the whole walk (after calling
+  /// `Stop()` or `RecordError()` so other workers stand down). Blocks until
+  /// all workers finish.
   template <typename PerMapping>
   void Run(const PerMapping& per_mapping) {
-    pool_->FanOut([this, &per_mapping](int w) { Worker(w, per_mapping); });
+    if (pool_ != nullptr) {
+      pool_->FanOut([this, &per_mapping](int w) { Worker(w, per_mapping); });
+      return;
+    }
+    const MappingVisitor visit = [this, &per_mapping](const ConstMapping& h) {
+      return Visit(0, h, per_mapping);
+    };
+    if (brute_) {
+      ForEachMapping(*lb_, visit);
+    } else {
+      ForEachCanonicalMapping(*lb_, visit);
+    }
+    worker_ranges_[0] = 1;
   }
 
   void Stop() {
@@ -256,6 +275,17 @@ class ExactEvaluator::Walk {
   }
 
  private:
+  /// One mapping of worker `index`: the stop flag and the budget first.
+  template <typename PerMapping>
+  bool Visit(int index, const ConstMapping& h, const PerMapping& per_mapping) {
+    if (stopped()) return false;
+    if (examined_.fetch_add(1, std::memory_order_relaxed) >= max_mappings_) {
+      RecordError(BudgetExceeded(max_mappings_));
+      return false;
+    }
+    return per_mapping(index, h);
+  }
+
   template <typename PerMapping>
   void Worker(int index, const PerMapping& per_mapping) {
     std::vector<MappingRange> remainder;
@@ -279,15 +309,7 @@ class ExactEvaluator::Walk {
       remainder.clear();
       ForEachCanonicalMappingChunk(
           *lb_, range, kStealChunk,
-          [&](const ConstMapping& h) {
-            if (stopped()) return false;
-            if (examined_.fetch_add(1, std::memory_order_relaxed) >=
-                max_mappings_) {
-              RecordError(BudgetExceeded(max_mappings_));
-              return false;
-            }
-            return per_mapping(index, h);
-          },
+          [&](const ConstMapping& h) { return Visit(index, h, per_mapping); },
           &remainder);
       ++worker_ranges_[index];
 
@@ -304,7 +326,8 @@ class ExactEvaluator::Walk {
   }
 
   const CwDatabase* lb_;
-  ThreadPool* pool_;
+  ThreadPool* pool_;  // null: one worker, on the calling thread
+  const bool brute_;  // every mapping rather than the canonical ones
   const uint64_t max_mappings_;
   Mutex queue_mu_;
   CondVar queue_cv_;
@@ -322,10 +345,10 @@ class ExactEvaluator::Walk {
 ExactEvaluator::ExactEvaluator(const CwDatabase* lb, ExactOptions options,
                                ExactSweep sweep, int threads)
     : lb_(lb), options_(options), sweep_(sweep) {
-  if (sweep == ExactSweep::kParallel) {
-    pool_ = std::make_unique<ThreadPool>(
-        threads > 0 ? threads : ThreadPool::DefaultThreads());
-  }
+  const int workers = sweep == ExactSweep::kBrute ? 1
+                      : threads > 0              ? threads
+                                                 : ThreadPool::DefaultThreads();
+  if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
 }
 
 Result<BoundQuery> ExactEvaluator::Prepare(const Query& query) {
@@ -379,113 +402,77 @@ Status ExactEvaluator::Sweep(const BoundQuery& bound,
   // lock-free and the signature context is immutable once built. Its
   // lifetime is one call — cross-call reuse is the service layer's result
   // cache, which also knows when the database changed.
-  KernelMemo memo(options_.memo, options_.memo_max_entries);
+  KernelMemo memo(options_.memo);
   std::optional<KernelSignatureContext> ctx;
   if (memo.enabled()) ctx.emplace(*lb_, bound.constants());
-  auto make_check = [&] {
-    return std::make_unique<ImageCheck>(*lb_, bound, plan, options_.eval,
-                                        memo.enabled() ? &memo : nullptr,
-                                        ctx ? &*ctx : nullptr);
-  };
-  decided->assign(candidates.size(), 0);
-  // A mapping decides candidate k when its verdict equals `possible`.
-  const auto decides = [possible](char verdict) {
-    return (verdict != 0) == possible;
-  };
-
-  Status error = Status::OK();
-  if (!pool_) {
-    const std::unique_ptr<ImageCheck> check = make_check();
-    const std::vector<char>& verdicts = check->verdicts();
-    std::vector<uint32_t> open(candidates.size());
-    std::iota(open.begin(), open.end(), 0u);
-    uint64_t examined = 0;
-    const MappingVisitor visit = [&](const ConstMapping& h) {
-      if (++examined > options_.max_mappings) {
-        error = BudgetExceeded(options_.max_mappings);
-        return false;
-      }
-      Status s = check->Run(h, candidates, open);
-      if (!s.ok()) {
-        error = std::move(s);
-        return false;
-      }
-      size_t kept = 0;
-      for (size_t k = 0; k < open.size(); ++k) {
-        if (!decides(verdicts[k])) {
-          open[kept++] = open[k];
-        } else {
-          (*decided)[open[k]] = 1;
-          if (decisive != nullptr) *decisive = h;
-        }
-      }
-      open.resize(kept);
-      return !open.empty();
-    };
-    if (sweep_ == ExactSweep::kBrute) {
-      ForEachMapping(*lb_, visit);
-    } else {
-      ForEachCanonicalMapping(*lb_, visit);
-    }
-    last_mappings_ = examined;
-  } else {
-    // `open[i]` is 1 while candidate i is undecided; `remaining` counts
-    // them so the last decision stops every worker. A candidate's final
-    // state is a property of the mapping space, not of the traversal
-    // order, so the answer is deterministic.
-    std::unique_ptr<std::atomic<uint8_t>[]> open(
-        new std::atomic<uint8_t>[candidates.size()]);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      open[i].store(1, std::memory_order_relaxed);
-    }
-    std::atomic<size_t> remaining{candidates.size()};
-    const int workers = pool_->num_threads();
-    std::vector<std::unique_ptr<ImageCheck>> checks;
-    for (int w = 0; w < workers; ++w) checks.push_back(make_check());
-    // Per-worker snapshot of the open candidates, retaken per mapping.
-    std::vector<std::vector<uint32_t>> snapshots(workers);
-    Walk walk(lb_, pool_.get(), options_.max_mappings);
-    walk.Run([&](int w, const ConstMapping& h) {
-      std::vector<uint32_t>& snapshot = snapshots[w];
-      snapshot.clear();
-      for (uint32_t i = 0; i < candidates.size(); ++i) {
-        if (open[i].load(std::memory_order_relaxed) != 0) {
-          snapshot.push_back(i);
-        }
-      }
-      if (snapshot.empty()) return true;  // raced with the last decision
-      Status s = checks[w]->Run(h, candidates, snapshot);
-      if (!s.ok()) {
-        walk.RecordError(std::move(s));
-        return false;
-      }
-      const std::vector<char>& verdicts = checks[w]->verdicts();
-      for (size_t k = 0; k < snapshot.size(); ++k) {
-        if (!decides(verdicts[k])) continue;
-        const uint32_t i = snapshot[k];
-        if (open[i].exchange(0, std::memory_order_relaxed) != 1) continue;
-        // Exactly one worker flips a candidate's flag, so with a single
-        // candidate exactly one worker writes `decisive`.
-        if (decisive != nullptr) *decisive = h;
-        if (remaining.fetch_sub(1, std::memory_order_relaxed) == 1) {
-          walk.Stop();  // every candidate decided — nothing left to learn
-          return false;
-        }
-      }
-      return true;
-    });
-    last_mappings_ = walk.examined();
-    last_worker_ranges_ = walk.worker_ranges();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      (*decided)[i] = open[i].load(std::memory_order_relaxed) == 0;
-    }
-    // A fully decided candidate set is final and order-independent, so it
-    // wins over a budget error raised by a worker still mid-chunk when the
-    // last candidate fell.
-    if (remaining.load() != 0) error = walk.error();
+  // `open[i]` is 1 while candidate i is undecided; `remaining` counts them
+  // so the last decision stops every worker. A mapping decides candidate i
+  // when its verdict equals `possible`.
+  const size_t n = candidates.size();
+  std::unique_ptr<std::atomic<uint8_t>[]> open(new std::atomic<uint8_t>[n]);
+  for (size_t i = 0; i < n; ++i) open[i].store(1, std::memory_order_relaxed);
+  std::atomic<size_t> remaining{n};
+  const int workers = threads();
+  std::vector<std::unique_ptr<ImageCheck>> checks;
+  // Each worker's open candidates as of its previous mapping; refiltered
+  // by the flags per mapping, so a visit costs O(open), not O(candidates).
+  std::vector<std::vector<uint32_t>> snapshots(workers);
+  for (int w = 0; w < workers; ++w) {
+    checks.push_back(std::make_unique<ImageCheck>(
+        *lb_, bound, plan, options_.eval, memo.enabled() ? &memo : nullptr,
+        ctx ? &*ctx : nullptr));
+    snapshots[w].resize(n);
+    std::iota(snapshots[w].begin(), snapshots[w].end(), 0u);
   }
+  Walk walk(lb_, pool_.get(), sweep_ == ExactSweep::kBrute,
+            options_.max_mappings);
+  walk.Run([&](int w, const ConstMapping& h) {
+    std::vector<uint32_t>& snapshot = snapshots[w];
+    size_t kept = 0;
+    for (uint32_t i : snapshot) {
+      if (open[i].load(std::memory_order_relaxed) != 0) snapshot[kept++] = i;
+    }
+    snapshot.resize(kept);
+    if (snapshot.empty()) {  // raced with the last decision
+      walk.Stop();
+      return false;
+    }
+    Status s = checks[w]->Run(h, candidates, snapshot);
+    if (!s.ok()) {
+      walk.RecordError(std::move(s));
+      return false;
+    }
+    const std::vector<char>& verdicts = checks[w]->verdicts();
+    kept = 0;
+    for (size_t k = 0; k < snapshot.size(); ++k) {
+      const uint32_t i = snapshot[k];
+      if ((verdicts[k] != 0) != possible) {
+        snapshot[kept++] = i;
+        continue;
+      }
+      if (open[i].exchange(0, std::memory_order_relaxed) != 1) continue;
+      // Exactly one worker flips a candidate's flag, so with a single
+      // candidate exactly one worker writes `decisive`.
+      if (decisive != nullptr) *decisive = h;
+      if (remaining.fetch_sub(1, std::memory_order_relaxed) == 1) {
+        walk.Stop();  // every candidate decided — nothing left to learn
+        return false;
+      }
+    }
+    snapshot.resize(kept);
+    return true;
+  });
+  last_mappings_ = walk.examined();
+  last_worker_ranges_ = walk.worker_ranges();
   last_memo_ = memo.counters();
-  return error;
+  decided->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    (*decided)[i] = open[i].load(std::memory_order_relaxed) == 0;
+  }
+  // A fully decided candidate set is final and order-independent, so it
+  // wins over a budget error raised by a worker still mid-chunk when the
+  // last candidate fell.
+  return remaining.load() == 0 ? Status::OK() : walk.error();
 }
 
 Result<Relation> ExactEvaluator::AnswerIn(const Query& query,

@@ -23,13 +23,14 @@
 namespace lqdb {
 
 struct ExactOptions {
-  /// Abort with `ResourceExhausted` after examining this many canonical
-  /// mappings — the co-NP enumeration is exponential in the number of
-  /// unknown values (Theorem 5), so callers opt into how much work a query
-  /// may burn. Under the work-stealing scheduler the budget is accounted
-  /// globally across workers; an answer fully decided within it is
-  /// returned even when workers still mid-chunk nudged the shared counter
-  /// past the limit (the decision is final and order-independent).
+  /// Abort with `ResourceExhausted` after examining this many mappings —
+  /// the co-NP enumeration is exponential in the number of unknown values
+  /// (Theorem 5), so callers opt into how much work a query may burn; the
+  /// `brute` sweep refuses up front when `|C|^|C|` exceeds it. With more
+  /// than one worker the budget is accounted globally across workers; an
+  /// answer fully decided within it is returned even when workers still
+  /// mid-chunk nudged the shared counter past the limit (the decision is
+  /// final and order-independent).
   uint64_t max_mappings = 10'000'000;
   /// Join-order enumeration cap for the compiled RA path (see
   /// `RaCardinalities::dp_join_cap`): conjunctions up to this many positive
@@ -43,11 +44,12 @@ struct ExactOptions {
   /// (pinned by the differential suite); the toggle exists for A/B runs
   /// (`set memo on|off` in the shell).
   bool memo = true;
-  /// Entry cap of the per-call verdict table; beyond it the memo saturates
-  /// (stops inserting, never evicts).
-  size_t memo_max_entries = KernelMemo::kDefaultMaxEntries;
   EvalOptions eval;
 };
+
+/// Upper bound on a Theorem 1 sweep's worker count; the registry and the
+/// shell reject larger counts before any thread exists.
+constexpr int kMaxSweepThreads = 256;
 
 /// Checks that `candidate` has the query's arity and only references
 /// constants of `lb` — the entry validation of every Theorem 1 call.
@@ -76,20 +78,19 @@ struct Counterexample {
   ConstMapping h;
 };
 
-/// The builtin Theorem 1 engines, each one setting of the sweep's three
-/// parameters (mapping source, per-image checker, scheduler).
+/// The sweep's mapping source and per-image checker (the scheduler is the
+/// evaluator's worker count).
 enum class ExactSweep {
-  /// Canonical mappings, compiled plan, serial loop (registry `exact`).
+  /// Canonical mappings, compiled plan (registry `exact`, `ra-exact`,
+  /// `parallel-exact`).
   kExact,
-  /// Canonical mappings, batched Tarskian check, serial loop
-  /// (`batched-exact`).
+  /// Canonical mappings, batched Tarskian check (`batched-exact`).
   kBatched,
-  /// Canonical mappings, compiled plan, work stealing (`parallel-exact`).
-  kParallel,
-  /// Every `h : C → C`, compiled plan, serial loop (`brute`): the literal
-  /// Theorem 1 quantification, exponentially redundant; exists to
-  /// cross-validate the canonical enumeration and to quantify its win
-  /// (bench E7). Refuses up front when `|C|^|C|` exceeds `max_mappings`.
+  /// Every `h : C → C`, compiled plan (`brute`): the literal Theorem 1
+  /// quantification, exponentially redundant; exists to cross-validate the
+  /// canonical enumeration and to quantify its win (bench E7). Refuses up
+  /// front when `|C|^|C|` exceeds `max_mappings`, and always runs on one
+  /// worker — only the canonical space splits into ranges.
   kBrute,
 };
 
@@ -107,7 +108,7 @@ enum class ExactSweep {
 /// decided. `Contains` and `IsPossible` are the one-candidate case; the
 /// deciding mapping is their counterexample or witness.
 ///
-/// The sweep has three parameters, fixed per evaluator by `ExactSweep`:
+/// `ExactSweep` fixes two of the sweep's parameters:
 ///
 ///   - mapping source: one representative per kernel partition
 ///     (`ForEachCanonicalMapping`), or every mapping (`ForEachMapping`);
@@ -116,16 +117,16 @@ enum class ExactSweep {
 ///     parameter, or the batched `Evaluator::SatisfiesBatch` — the latter
 ///     for `kBatched` and for queries outside the compilable first-order
 ///     fragment (second-order quantification). Both sit behind one kernel
-///     memo front end (eval/kernel_memo.h);
-///   - scheduler: a plain serial loop, or (`kParallel`) work stealing over
-///     `ForEachCanonicalMappingChunk`: the partition space is pre-split by
-///     restricted-growth-string prefix, workers take the largest remaining
-///     range, walk a bounded chunk of it and donate the unvisited remainder
-///     back, so a skewed space spreads across the pool. Workers share the
-///     memo table and publish decisions through atomic per-candidate
-///     flags; answers are bit-identical across thread counts, while the
-///     reported counterexample and, under early exit,
-///     `last_mappings_examined()` may vary between runs.
+///     memo front end (eval/kernel_memo.h).
+///
+/// The worker count fixes the third, the scheduler, which cannot change an
+/// answer: a candidate's final state is a property of the mapping space,
+/// not of the visiting order. One worker walks the space on the calling
+/// thread in enumeration order, so the counterexample, witness and
+/// `last_mappings_examined()` are deterministic. More workers steal ranges
+/// of the canonical space from one another (`Walk` in exact.cc) and share
+/// the memo table; answers stay bit-identical, while the reported mapping
+/// and, under early exit, the mapping count may vary between runs.
 ///
 /// Compiled plans are cached per evaluator, keyed by query identity (the
 /// printed head + body and the join-order cap), so repeated calls reuse
@@ -134,11 +135,13 @@ enum class ExactSweep {
 /// as-is.
 class ExactEvaluator {
  public:
-  /// `threads` sizes the `kParallel` worker pool (0 means
-  /// `ThreadPool::DefaultThreads()`); the serial sweeps ignore it.
+  /// `threads` is the sweep's worker count: 1 walks on the calling thread,
+  /// 0 means `ThreadPool::DefaultThreads()`, and a worker pool is built
+  /// only for more than one. `kBrute` ignores it and runs on one worker.
+  /// Callers must keep it at most `kMaxSweepThreads`.
   explicit ExactEvaluator(const CwDatabase* lb, ExactOptions options = {},
                           ExactSweep sweep = ExactSweep::kExact,
-                          int threads = 0);
+                          int threads = 1);
 
   /// The answer `Q(LB)` — a relation over the constant symbols `C`
   /// (§2.1: logical answers are tuples of constants, not domain values).
@@ -180,14 +183,14 @@ class ExactEvaluator {
   /// opposed to the batched evaluator).
   bool last_used_ra() const { return last_used_ra_; }
 
-  /// Work-stealing ranges retired per worker by the most recent `kParallel`
-  /// call, indexed by worker. Under early exit some workers may
-  /// legitimately retire zero.
+  /// Ranges retired per worker by the most recent call, indexed by worker
+  /// (one worker retires the whole space as one range). Under early exit
+  /// some workers may legitimately retire zero.
   const std::vector<uint64_t>& last_worker_ranges() const {
     return last_worker_ranges_;
   }
 
-  /// Worker threads of the sweep (1 for the serial sweeps).
+  /// Worker count of the sweep.
   int threads() const { return pool_ ? pool_->num_threads() : 1; }
 
   /// Number of distinct queries whose compilation outcome is cached.
@@ -217,7 +220,7 @@ class ExactEvaluator {
   const CwDatabase* lb_;
   ExactOptions options_;
   ExactSweep sweep_;
-  std::unique_ptr<ThreadPool> pool_;  // kParallel only
+  std::unique_ptr<ThreadPool> pool_;  // null: one worker
   uint64_t last_mappings_ = 0;
   KernelMemoCounters last_memo_;
   bool last_used_ra_ = false;

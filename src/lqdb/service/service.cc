@@ -21,8 +21,6 @@ std::string EngineOptionsFingerprint(const EngineOptions& options) {
   key += "emm=" + std::to_string(options.exact.max_mappings);
   key += ";cap=" + std::to_string(options.exact.ra_dp_join_cap);
   key += ";eso=" + std::to_string(options.exact.eval.max_so_tuple_space);
-  key += ";bmm=" + std::to_string(options.brute.max_mappings);
-  key += ";bso=" + std::to_string(options.brute.eval.max_so_tuple_space);
   key += ";aam=" + std::to_string(static_cast<int>(options.approx.alpha_mode));
   key += ";aen=" + std::to_string(static_cast<int>(options.approx.engine));
   key += ";ane=" + std::to_string(options.approx.materialize_ne ? 1 : 0);

@@ -5,9 +5,9 @@
 ///     serves as the oracle;
 ///   - `ExactEvaluator` with its other sweeps (`exact`/`ra-exact`,
 ///     `batched-exact`, `parallel-exact`): Theorem 1 with canonical-mapping
-///     enumeration, compiled or batched per-image checks, serial or
-///     work-stealing scheduling — must agree with brute and with each other
-///     on every instance;
+///     enumeration, compiled or batched per-image checks, one worker or
+///     work stealing over several — must agree with brute and with each
+///     other on every instance;
 ///   - `ApproxEvaluator` (approx/): the §5 polynomial approximation — must
 ///     be sound (⊆ exact) always, and complete on fully specified databases
 ///     (Theorem 12) and positive queries (Theorem 13).
@@ -51,13 +51,14 @@ using testing::InstanceProfile;
 using testing::MakeInstance;
 
 /// A registry engine over `db` — the way every other caller gets one — with
-/// the kernel memo on or off.
+/// the kernel memo on or off. The budget admits brute's full `|C|^|C|`
+/// space up to `|C| = 8` (8^8 ≈ 16.8M mappings, above the 10M default).
 std::unique_ptr<QueryEngine> MakeEngine(const char* name, CwDatabase* db,
                                         int threads = 0, bool memo = true) {
   EngineOptions options;
   options.threads = threads;
   options.exact.memo = memo;
-  options.brute.memo = memo;
+  options.exact.max_mappings = 50'000'000;
   return EngineRegistry::Global().Create(name, db, options).value();
 }
 

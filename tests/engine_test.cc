@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <memory>
 #include <string>
 
@@ -71,6 +72,24 @@ TEST(EngineRegistryTest, UnknownNamesAreNotFound) {
             std::string::npos)
       << engine.status();
   EXPECT_FALSE(registry.CapabilitiesOf("frobnicator").ok());
+}
+
+TEST(EngineRegistryTest, TheoremOneFactoriesRejectOutOfRangeThreads) {
+  // The worker count becomes OS threads, so the factory must refuse it
+  // before any pool exists; none of these calls may start a thread.
+  EngineRegistry& registry = EngineRegistry::Global();
+  auto lb = MurderDb();
+  for (int threads : {INT_MAX, kMaxSweepThreads + 1, -1}) {
+    SCOPED_TRACE(threads);
+    EngineOptions options;
+    options.threads = threads;
+    for (const char* name :
+         {"parallel-exact", "exact", "ra-exact", "batched-exact", "brute"}) {
+      SCOPED_TRACE(name);
+      EXPECT_EQ(registry.Create(name, lb.get(), options).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(EngineRegistryTest, DuplicateRegistrationIsRejected) {

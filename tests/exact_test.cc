@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "lqdb/cwdb/mapping.h"
 #include "lqdb/cwdb/ph.h"
 #include "lqdb/eval/answer.h"
 #include "lqdb/eval/evaluator.h"
@@ -406,19 +411,128 @@ TEST(CandidateSpaceTest, ConstantFreeDatabaseFailsCleanlyOnAllEngines) {
 
   // The compiled sweeps check the precondition before compiling: the
   // plan's cardinality stats and the enumeration both assume a nonempty `C`.
-  for (ExactSweep sweep : {ExactSweep::kExact, ExactSweep::kBatched,
-                           ExactSweep::kParallel, ExactSweep::kBrute}) {
-    SCOPED_TRACE(static_cast<int>(sweep));
-    ExactEvaluator exact(&lb, {}, sweep, /*threads=*/2);
-    EXPECT_EQ(exact.Answer(q).status().code(),
-              StatusCode::kFailedPrecondition);
-    EXPECT_EQ(exact.PossibleAnswer(q).status().code(),
-              StatusCode::kFailedPrecondition);
-    EXPECT_EQ(exact.Contains(boolean, {}).status().code(),
-              StatusCode::kFailedPrecondition);
-    EXPECT_EQ(exact.IsPossible(boolean, {}).status().code(),
-              StatusCode::kFailedPrecondition);
+  for (ExactSweep sweep :
+       {ExactSweep::kExact, ExactSweep::kBatched, ExactSweep::kBrute}) {
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(sweep)) + " threads=" +
+                   std::to_string(threads));
+      ExactEvaluator exact(&lb, {}, sweep, threads);
+      EXPECT_EQ(exact.Answer(q).status().code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_EQ(exact.PossibleAnswer(q).status().code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_EQ(exact.Contains(boolean, {}).status().code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_EQ(exact.IsPossible(boolean, {}).status().code(),
+                StatusCode::kFailedPrecondition);
+    }
   }
+}
+
+/// The first mapping, in the enumeration order of `ForEachMapping` (brute)
+/// or `ForEachCanonicalMapping`, that decides `candidate` — falsifies it,
+/// or satisfies it when `possible` — found by evaluating every image from
+/// scratch, plus its 1-based position (0 when no mapping decides) and the
+/// number of mappings in the space.
+struct FirstDeciding {
+  uint64_t position = 0;
+  ConstMapping h;
+  uint64_t total = 0;
+};
+
+FirstDeciding FindFirstDeciding(const CwDatabase& lb, const Query& query,
+                                const Tuple& candidate, bool possible,
+                                bool brute) {
+  FirstDeciding out;
+  const MappingVisitor visit = [&](const ConstMapping& h) {
+    ++out.total;
+    if (out.position != 0) return true;
+    const PhysicalDatabase image = ApplyMapping(lb, h);
+    Result<Relation> holds = Evaluator(&image).Answer(query);
+    EXPECT_OK(holds.status());
+    Tuple mapped;
+    for (ConstId c : candidate) mapped.push_back(h[c]);
+    if (holds.ok() && holds->Contains(mapped) == possible) {
+      out.position = out.total;
+      out.h = h;
+    }
+    return true;
+  };
+  if (brute) {
+    ForEachMapping(lb, visit);
+  } else {
+    ForEachCanonicalMapping(lb, visit);
+  }
+  return out;
+}
+
+TEST(ExactSweepOrderTest, OneWorkerDecidesAtTheFirstDecidingMapping) {
+  // One worker walks the space in enumeration order, so `Contains` reports
+  // the first falsifying mapping and `IsPossible` the first satisfying one,
+  // and `last_mappings_examined()` is that mapping's position — for every
+  // mapping source and checker.
+  RandomDbParams db_params;
+  db_params.num_known = 3;  // 5^5 mappings keep the brute space small
+  RandomFormulaParams q_params;
+  q_params.free_vars = {"hx"};
+  uint64_t decided_late = 0;
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    auto lb = RandomCwDatabase(seed, db_params);
+    Query query = RandomQuery(seed * 31 + 7, lb->mutable_vocab(), q_params);
+    const std::vector<Tuple> candidates = AllCandidateTuples(
+        query.arity(), static_cast<ConstId>(lb->num_constants()));
+    for (ExactSweep sweep :
+         {ExactSweep::kExact, ExactSweep::kBatched, ExactSweep::kBrute}) {
+      const bool brute = sweep == ExactSweep::kBrute;
+      ExactEvaluator exact(lb.get(), {}, sweep);
+      ASSERT_EQ(exact.threads(), 1);
+      for (const Tuple& candidate : candidates) {
+        for (bool possible : {false, true}) {
+          SCOPED_TRACE("seed=" + std::to_string(seed) + " sweep=" +
+                       std::to_string(static_cast<int>(sweep)) +
+                       " candidate=" + std::to_string(candidate[0]) +
+                       (possible ? " possible" : " certain"));
+          const FirstDeciding first =
+              FindFirstDeciding(*lb, query, candidate, possible, brute);
+          std::optional<Counterexample> decisive;
+          ASSERT_OK_AND_ASSIGN(
+              bool holds, possible
+                              ? exact.IsPossible(query, candidate, &decisive)
+                              : exact.Contains(query, candidate, &decisive));
+          if (first.position == 0) {
+            EXPECT_EQ(holds, !possible);
+            EXPECT_FALSE(decisive.has_value());
+            EXPECT_EQ(exact.last_mappings_examined(), first.total);
+            continue;
+          }
+          EXPECT_EQ(holds, possible);
+          ASSERT_TRUE(decisive.has_value());
+          EXPECT_EQ(decisive->h, first.h);
+          EXPECT_EQ(exact.last_mappings_examined(), first.position);
+          if (first.position == 1) continue;
+          ++decided_late;
+
+          // A budget one short of the deciding mapping runs out after
+          // exactly that many checked mappings: with one open candidate,
+          // each checked mapping is one memo lookup. Brute refuses such a
+          // budget up front, below `|C|^|C|`, and checks none.
+          ExactOptions tight;
+          tight.max_mappings = first.position - 1;
+          ExactEvaluator short_budget(lb.get(), tight, sweep);
+          Result<bool> exhausted =
+              possible ? short_budget.IsPossible(query, candidate)
+                       : short_budget.Contains(query, candidate);
+          EXPECT_EQ(exhausted.status().code(),
+                    StatusCode::kResourceExhausted);
+          const KernelMemoCounters& memo = short_budget.last_memo_counters();
+          EXPECT_EQ(memo.row_hits + memo.row_misses,
+                    brute ? 0 : tight.max_mappings);
+        }
+      }
+    }
+  }
+  // The corpus must exercise decisions past the first mapping.
+  EXPECT_GT(decided_late, 0u);
 }
 
 TEST(SaturatingPowerTest, ComputesExactIntegerPowers) {

@@ -1,8 +1,8 @@
-/// The work-stealing scheduler of the Theorem 1 sweep
-/// (`ExactSweep::kParallel`): determinism across thread counts, agreement
-/// with the serial sweep, global `max_mappings` accounting, and validity of
-/// reported counterexamples/witnesses (which may legitimately differ between
-/// runs — only the *answers* are deterministic).
+/// The work-stealing scheduler of the Theorem 1 sweep (an `ExactEvaluator`
+/// with more than one worker): determinism across worker counts, agreement
+/// with the one-worker sweep, global `max_mappings` accounting, and
+/// validity of reported counterexamples/witnesses (which may legitimately
+/// differ between runs — only the *answers* are deterministic).
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,7 @@ using testing::RandomQuery;
 
 ExactEvaluator Parallel(const CwDatabase* lb, int threads,
                         ExactOptions options = {}) {
-  return ExactEvaluator(lb, options, ExactSweep::kParallel, threads);
+  return ExactEvaluator(lb, options, ExactSweep::kExact, threads);
 }
 
 TEST(ParallelExactTest, AnswersIdenticalAcross1And2And8Threads) {

@@ -202,6 +202,22 @@ engines
       << out;
 }
 
+TEST(ShellTest, SetThreadsRejectsUnboundedCounts) {
+  // A worker count becomes OS threads: counts above the sweep's bound are
+  // refused at `set` time and leave the previous count in place. The
+  // script runs no query, so even a shell that accepted the count would
+  // start no thread.
+  std::string out = RunShellScript(R"(set threads 2
+set threads 100000
+engines
+)");
+  EXPECT_NE(out.find("error: InvalidArgument: set threads expects an "
+                     "integer in [0, 256]"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("threads: 2   max_mappings"), std::string::npos) << out;
+}
+
 TEST(ShellTest, ParallelExactAgreesInTheShell) {
   // The same Theorem 1 query through 1, 2 and 4 threads — answers must be
   // identical (the shell upgrades `exact` to parallel-exact when threads

@@ -18,7 +18,6 @@
 // Run `help` inside the shell for the command list. A script path may be
 // passed as argv[1]; with `--batch` the shell exits at end of input
 // instead of switching to stdin.
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -84,7 +83,8 @@ constexpr const char* kHelp = R"(commands:
                          memo and result-cache hit/miss/invalidation)
   engines                list registered engines and their capabilities
   set engine NAME        select the engine used by `query`
-  set threads N          worker threads for parallel engines (0 = hardware)
+  set threads N          Theorem 1 sweep workers (0 = hardware, at most
+                         256)
   set max_mappings N     Theorem 1 enumeration budget per query
   set join_cap N         DP join-order cap (0 = always greedy)
   set memo on|off        kernel-verdict memoization and the cross-query
@@ -230,9 +230,11 @@ class Shell {
       std::printf("engine = %s\n", engine_name_.c_str());
     } else if (key == "threads") {
       unsigned long long threads = 0;
-      if (!ParseStrictUint(value, &threads) || threads > INT_MAX) {
+      if (!ParseStrictUint(value, &threads) ||
+          threads > static_cast<unsigned long long>(kMaxSweepThreads)) {
         Report(Status::InvalidArgument(
-            "set threads expects a nonnegative integer (0 = hardware)"));
+            "set threads expects an integer in [0, " +
+            std::to_string(kMaxSweepThreads) + "] (0 = hardware)"));
         return;
       }
       options_.threads = static_cast<int>(threads);
@@ -246,7 +248,6 @@ class Shell {
         return;
       }
       options_.exact.max_mappings = max;
-      options_.brute.max_mappings = max;
       current_ = SIZE_MAX;
       std::printf("max_mappings = %llu\n", max);
     } else if (key == "memo") {
@@ -256,7 +257,6 @@ class Shell {
       }
       const bool on = value == "on";
       options_.exact.memo = on;
-      options_.brute.memo = on;
       use_result_cache_ = on;
       current_ = SIZE_MAX;
       std::printf("memo = %s\n", value.c_str());
