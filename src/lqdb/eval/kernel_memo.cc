@@ -190,11 +190,28 @@ void KernelSignatureContext::SignatureOf(const ConstMapping& h,
   }
 }
 
-KernelMemo::KernelMemo(bool enabled, size_t max_entries)
+namespace {
+
+size_t CeilPowerOfTwo(size_t n) {
+  size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+}  // namespace
+
+KernelMemo::KernelMemo(bool enabled, size_t max_entries, size_t buckets)
     : enabled_(enabled),
       max_entries_(max_entries),
-      buckets_(enabled ? kBuckets : 1) {
+      buckets_(enabled ? CeilPowerOfTwo(buckets) : 1) {
   for (auto& head : buckets_) head.store(nullptr, std::memory_order_relaxed);
+}
+
+size_t KernelMemo::BucketsFor(size_t num_candidates) {
+  const size_t rows =
+      std::min(num_candidates, kDefaultMaxEntries / kRowsPerCandidate) *
+      kRowsPerCandidate;
+  return std::max(CeilPowerOfTwo(rows), kMinBuckets);
 }
 
 uint32_t KernelMemo::InternSignature(const std::string& sig) {

@@ -126,11 +126,23 @@ class KernelSignatureContext {
 class KernelMemo {
  public:
   static constexpr size_t kDefaultMaxEntries = size_t{1} << 22;
+  /// The bucket count of a table sized for few candidates.
+  static constexpr size_t kMinBuckets = size_t{1} << 14;
 
+  /// `buckets` is rounded up to a power of two; with the memo off the
+  /// table has one bucket.
   explicit KernelMemo(bool enabled,
-                      size_t max_entries = kDefaultMaxEntries);
+                      size_t max_entries = kDefaultMaxEntries,
+                      size_t buckets = kMinBuckets);
+
+  /// The bucket count for a sweep over `num_candidates` candidates: every
+  /// candidate may take one row per signature, so the table is sized for
+  /// `kRowsPerCandidate` rows each (chains stay a few nodes long), clamped
+  /// to `[kMinBuckets, kDefaultMaxEntries]`.
+  static size_t BucketsFor(size_t num_candidates);
 
   bool enabled() const { return enabled_; }
+  size_t num_buckets() const { return buckets_.size(); }
 
   /// Interns a signature, returning its dense id.
   uint32_t InternSignature(const std::string& sig);
@@ -165,7 +177,8 @@ class KernelMemo {
 
   static uint64_t HashRow(uint32_t sig_id, const Value* row, size_t arity);
 
-  static constexpr size_t kBuckets = size_t{1} << 14;  // power of two
+  /// Rows a sweep is expected to record per candidate (`BucketsFor`).
+  static constexpr size_t kRowsPerCandidate = 256;
 
   bool enabled_;
   size_t max_entries_;

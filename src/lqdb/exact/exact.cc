@@ -276,13 +276,19 @@ class ExactEvaluator::Walk {
 
  private:
   /// One mapping of worker `index`: the stop flag and the budget first.
+  /// Only a mapping that passes the gate is counted, so `examined()` never
+  /// exceeds the budget, however many workers race for its last slot.
   template <typename PerMapping>
   bool Visit(int index, const ConstMapping& h, const PerMapping& per_mapping) {
     if (stopped()) return false;
-    if (examined_.fetch_add(1, std::memory_order_relaxed) >= max_mappings_) {
-      RecordError(BudgetExceeded(max_mappings_));
-      return false;
-    }
+    uint64_t seen = examined_.load(std::memory_order_relaxed);
+    do {
+      if (seen >= max_mappings_) {
+        RecordError(BudgetExceeded(max_mappings_));
+        return false;
+      }
+    } while (!examined_.compare_exchange_weak(seen, seen + 1,
+                                              std::memory_order_relaxed));
     return per_mapping(index, h);
   }
 
@@ -402,7 +408,8 @@ Status ExactEvaluator::Sweep(const BoundQuery& bound,
   // lock-free and the signature context is immutable once built. Its
   // lifetime is one call — cross-call reuse is the service layer's result
   // cache, which also knows when the database changed.
-  KernelMemo memo(options_.memo);
+  KernelMemo memo(options_.memo, KernelMemo::kDefaultMaxEntries,
+                  KernelMemo::BucketsFor(candidates.size()));
   std::optional<KernelSignatureContext> ctx;
   if (memo.enabled()) ctx.emplace(*lb_, bound.constants());
   // `open[i]` is 1 while candidate i is undecided; `remaining` counts them

@@ -27,10 +27,10 @@ struct ExactOptions {
   /// the co-NP enumeration is exponential in the number of unknown values
   /// (Theorem 5), so callers opt into how much work a query may burn; the
   /// `brute` sweep refuses up front when `|C|^|C|` exceeds it. With more
-  /// than one worker the budget is accounted globally across workers; an
-  /// answer fully decided within it is returned even when workers still
-  /// mid-chunk nudged the shared counter past the limit (the decision is
-  /// final and order-independent).
+  /// than one worker the budget is accounted globally across workers and
+  /// `last_mappings_examined()` never exceeds it; an answer fully decided
+  /// within it is returned even when another worker hit the limit
+  /// meanwhile (the decision is final and order-independent).
   uint64_t max_mappings = 10'000'000;
   /// Join-order enumeration cap for the compiled RA path (see
   /// `RaCardinalities::dp_join_cap`): conjunctions up to this many positive

@@ -8,13 +8,16 @@
 #include <set>
 #include <utility>
 
+#include "lqdb/ra/prune.h"
+
 namespace lqdb {
 
 Result<PlanPtr> RaCompiler::Compile(const Query& query) {
   LQDB_ASSIGN_OR_RETURN(PlanPtr plan, CompileFormula(query.body()));
   std::set<VarId> head(query.head().begin(), query.head().end());
   LQDB_ASSIGN_OR_RETURN(plan, PadTo(std::move(plan), head));
-  return Plan::Project(std::move(plan), query.head());
+  LQDB_ASSIGN_OR_RETURN(plan, Plan::Project(std::move(plan), query.head()));
+  return PruneColumns(plan);
 }
 
 Result<PlanPtr> RaCompiler::CompileFormula(const FormulaPtr& f) {

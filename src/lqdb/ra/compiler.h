@@ -77,10 +77,10 @@ class RaCompiler {
 
   /// Compiles a full query; the plan's schema follows the head order.
   /// Head variables that do not occur in the body range over the domain.
+  /// The join-ordered plan then goes through `PruneColumns` (ra/prune.h),
+  /// which drops every ∃-bound column at the lowest node that no longer
+  /// reads it; no caller sees the unpruned plan.
   Result<PlanPtr> Compile(const Query& query);
-
-  /// Compiles a formula; the plan's schema is the formula's free variables.
-  Result<PlanPtr> CompileFormula(const FormulaPtr& f);
 
   /// Estimated output cardinality of `plan` under the compiler's
   /// statistics (public for `explain`-style plan annotation).
@@ -96,6 +96,8 @@ class RaCompiler {
   }
 
  private:
+  /// Compiles a formula; the plan's schema is the formula's free variables.
+  Result<PlanPtr> CompileFormula(const FormulaPtr& f);
   Result<PlanPtr> CompileEquals(const FormulaPtr& f);
   Result<PlanPtr> CompileAnd(const FormulaPtr& f);
   Result<PlanPtr> CompileOr(const FormulaPtr& f);

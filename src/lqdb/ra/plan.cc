@@ -152,6 +152,9 @@ Result<PlanPtr> Plan::Project(PlanPtr child, std::vector<VarId> attrs) {
       return Status::InvalidArgument("projection attributes must be distinct");
     }
   }
+  // π_a ∘ π_b = π_a: `attrs` is a subset of the inner projection's child
+  // schema too, so the outer projection reads that child directly.
+  if (child->kind() == PlanKind::kProject) child = child->child();
   auto node = NewNode(PlanKind::kProject);
   node->schema_ = std::move(attrs);
   node->children_ = {std::move(child)};

@@ -71,7 +71,8 @@ class Plan {
   static Result<PlanPtr> Union(PlanPtr left, PlanPtr right);
 
   /// `attrs` must be distinct and a subset of the child's schema; the output
-  /// columns follow `attrs` order.
+  /// columns follow `attrs` order. A `Project` child is collapsed
+  /// (π_a ∘ π_b = π_a), so no factory-built plan nests two projections.
   static Result<PlanPtr> Project(PlanPtr child, std::vector<VarId> attrs);
 
   PlanKind kind() const { return kind_; }

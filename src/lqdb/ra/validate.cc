@@ -231,6 +231,10 @@ class Validator {
       }
       case PlanKind::kProject: {
         LQDB_RETURN_IF_ERROR(CheckDistinct(node, schema));
+        if (node->child()->kind() == PlanKind::kProject) {
+          return NodeError(node, "projection directly over a projection "
+                                 "(the factory collapses π_a ∘ π_b to π_a)");
+        }
         const std::vector<VarId>& child = node->child()->schema();
         for (VarId v : schema) {
           if (std::find(child.begin(), child.end(), v) == child.end()) {

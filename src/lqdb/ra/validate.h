@@ -40,6 +40,9 @@ struct PlanValidateOptions {
 ///     a distinct subset of the child's, unions carry equal attribute
 ///     sets, and anti/semijoins keep exactly the left schema. A dangling
 ///     attribute — a column that no child produces — is caught here.
+///     A projection directly over a projection is rejected too:
+///     `Plan::Project` collapses the pair, so only a mutated or
+///     hand-assembled node can carry one.
 ///  2. **Anti/semijoin child compatibility.** The right child's attributes
 ///     must be a subset of the left's: both operators filter the left
 ///     relation on the shared columns, and the compiler always pads the

@@ -259,7 +259,7 @@ TEST(DifferentialTest, PositiveQueriesAreComplete) {
 /// The parallel-engine agreement dimension: `parallel-exact` (compiled
 /// checks under the work-stealing scheduler) at 1, 2 and 4 threads must
 /// compute exactly the same certain and possible answers as the serial
-/// batched sweep on *every* instance the suite generates — the same 268
+/// batched sweep on *every* instance the suite generates — the same 298
 /// (profile, seed) pairs the other dimensions sweep, so a
 /// partition-splitting or coordination bug cannot hide in a corner the
 /// serial tests cover but the parallel ones skip.
@@ -269,12 +269,14 @@ TEST(DifferentialTest, ParallelExactAgreesOnAllInstances) {
     uint64_t seeds;
   };
   // Mirrors the instance sets of the other tests in this file:
-  // 3×40 (brute-vs-exact) + 2×30 (approx configs) + 40 + 40 + 8 = 268.
+  // 3×40 (brute-vs-exact) + 2×30 (approx configs) + 40 + 40 + 8 + 30
+  // (∃-chains) = 298.
   const Sweep sweeps[] = {
       {InstanceProfile::kTiny, 40},   {InstanceProfile::kSmall, 40},
       {InstanceProfile::kBinary, 40}, {InstanceProfile::kSmall, 30},
       {InstanceProfile::kBinary, 30}, {InstanceProfile::kFullySpecified, 40},
       {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
+      {InstanceProfile::kExistsChain, 30},
   };
   uint64_t instances = 0;
   for (const Sweep& sweep : sweeps) {
@@ -307,7 +309,7 @@ TEST(DifferentialTest, ParallelExactAgreesOnAllInstances) {
       }
     }
   }
-  EXPECT_EQ(instances, 268u);
+  EXPECT_EQ(instances, 298u);
 }
 
 /// The work-stealing dimension: the skewed profile hangs the whole
@@ -347,7 +349,7 @@ TEST(DifferentialTest, SkewedProfileParallelAgreesOnAllInstances) {
 /// (hash joins, anti-joins for negation, shared subplans for `↔`/`→`/`∀`),
 /// so the whole compiler + executor stack must reproduce the batched
 /// sweep's answers bit-for-bit on every instance the suite generates — the
-/// same 268 (profile, seed) pairs the other dimensions sweep. The generator
+/// same 298 (profile, seed) pairs the other dimensions sweep. The generator
 /// emits first-order formulas only, so every instance exercises the
 /// compiled path rather than the second-order fallback.
 TEST(DifferentialTest, RaExactAgreesOnAllInstances) {
@@ -360,6 +362,7 @@ TEST(DifferentialTest, RaExactAgreesOnAllInstances) {
       {InstanceProfile::kBinary, 40}, {InstanceProfile::kSmall, 30},
       {InstanceProfile::kBinary, 30}, {InstanceProfile::kFullySpecified, 40},
       {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
+      {InstanceProfile::kExistsChain, 30},
   };
   uint64_t instances = 0;
   for (const Sweep& sweep : sweeps) {
@@ -390,7 +393,7 @@ TEST(DifferentialTest, RaExactAgreesOnAllInstances) {
       }
     }
   }
-  EXPECT_EQ(instances, 268u);
+  EXPECT_EQ(instances, 298u);
 }
 
 /// The compiled sweep on the skewed profile: the known constants pin a long RGS
@@ -454,7 +457,7 @@ TEST(DifferentialTest, LargeProfileRaExactAgreesOnAllInstances) {
 }
 
 /// The static-validation dimension: every query of the full differential
-/// corpus — the 268-instance pool plus the skewed and large profiles —
+/// corpus — the 298-instance pool plus the skewed and large profiles —
 /// compiles to a plan that passes `ValidatePlan` with zero findings, and
 /// so does its semijoin-reduced form (validated against the reduction's
 /// param node). This is the standing guarantee behind running the
@@ -470,6 +473,7 @@ TEST(DifferentialTest, CompiledPlansValidateOnAllInstances) {
       {InstanceProfile::kBinary, 40}, {InstanceProfile::kSmall, 30},
       {InstanceProfile::kBinary, 30}, {InstanceProfile::kFullySpecified, 40},
       {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
+      {InstanceProfile::kExistsChain, 30},
       {InstanceProfile::kSkewed, 20}, {InstanceProfile::kLarge, 6},
   };
   uint64_t instances = 0;
@@ -490,7 +494,7 @@ TEST(DifferentialTest, CompiledPlansValidateOnAllInstances) {
       EXPECT_OK(ValidatePlan(reduced.plan, opts));
     }
   }
-  EXPECT_EQ(instances, 294u);
+  EXPECT_EQ(instances, 324u);
 }
 
 /// The multi-session dimension: K = 8 concurrent service sessions — mixed
@@ -612,7 +616,7 @@ TEST(DifferentialTest, ConcurrentSessionsMatchSequentialReplay) {
 
 /// The memoization dimension: every Theorem 1 registry engine, with the
 /// kernel memo on (the default) and off, must produce answers bit-identical
-/// to the memo-off batched sweep on every instance the suite generates — the same 268
+/// to the memo-off batched sweep on every instance the suite generates — the same 298
 /// (profile, seed) pairs the other dimensions sweep. An unsound signature
 /// (one that identifies non-isomorphic images) would surface here as a
 /// wrong reused verdict; see kernel_memo.h for the counterexample that
@@ -629,6 +633,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
       {InstanceProfile::kBinary, 40}, {InstanceProfile::kSmall, 30},
       {InstanceProfile::kBinary, 30}, {InstanceProfile::kFullySpecified, 40},
       {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
+      {InstanceProfile::kExistsChain, 30},
   };
   uint64_t instances = 0;
   uint64_t total_hits = 0;
@@ -671,7 +676,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
       }
     }
   }
-  EXPECT_EQ(instances, 268u);
+  EXPECT_EQ(instances, 298u);
   EXPECT_GT(total_hits, 0u);
 }
 
@@ -760,7 +765,7 @@ Result<std::pair<Relation, Relation>> FullRebuildAnswers(const CwDatabase& db,
 /// first: they get the lowest ids, so the builder's labels are not the
 /// identity. Every Theorem 1 engine, with the memo on and off, must then
 /// match the full-rebuild reference above, certain and possible answers
-/// alike; brute runs on the 268-instance pool.
+/// alike; brute runs on the 298-instance pool.
 TEST(DifferentialTest, RoundTrippedWorldsMatchFullRebuildReference) {
   struct Sweep {
     InstanceProfile profile;
@@ -771,6 +776,7 @@ TEST(DifferentialTest, RoundTrippedWorldsMatchFullRebuildReference) {
       {InstanceProfile::kBinary, 40}, {InstanceProfile::kSmall, 30},
       {InstanceProfile::kBinary, 30}, {InstanceProfile::kFullySpecified, 40},
       {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
+      {InstanceProfile::kExistsChain, 30},
       {InstanceProfile::kSkewed, 20}, {InstanceProfile::kLarge, 6},
   };
   uint64_t instances = 0;
@@ -819,7 +825,7 @@ TEST(DifferentialTest, RoundTrippedWorldsMatchFullRebuildReference) {
       }
     }
   }
-  EXPECT_EQ(instances, 294u);
+  EXPECT_EQ(instances, 324u);
   EXPECT_GT(relabeled, instances / 2);
 }
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "lqdb/gen/scenario.h"
 #include "lqdb/io/text_format.h"
@@ -65,6 +66,13 @@ RandomDbParams DbParamsFor(InstanceProfile profile) {
       break;
     case InstanceProfile::kLarge:
       break;  // handled by ScenarioParamsForLarge, not RandomDbParams
+    case InstanceProfile::kExistsChain:
+      p.num_known = 3;
+      p.num_unknown = 2;
+      p.num_unary_preds = 1;
+      p.num_binary_preds = 2;
+      p.num_facts = 8;
+      break;
   }
   return p;
 }
@@ -111,7 +119,8 @@ RandomFormulaParams FormulaParamsFor(InstanceProfile profile) {
       p.free_vars = {"hx"};
       break;
     case InstanceProfile::kLarge:
-      break;  // kLarge draws from the fixed scenario query pool
+    case InstanceProfile::kExistsChain:
+      break;  // fixed query shapes, not random formulas
   }
   return p;
 }
@@ -134,6 +143,8 @@ const char* ProfileName(InstanceProfile profile) {
       return "skewed";
     case InstanceProfile::kLarge:
       return "large";
+    case InstanceProfile::kExistsChain:
+      return "exists_chain";
   }
   return "unknown";
 }
@@ -155,6 +166,15 @@ DifferentialInstance MakeInstance(uint64_t seed, InstanceProfile profile) {
   // equal seeds but different profiles do not share query structure.
   const uint64_t query_seed =
       seed * 2654435761ull + 101ull * static_cast<uint64_t>(profile);
+  if (profile == InstanceProfile::kExistsChain) {
+    // Alternate unary and binary heads.
+    const std::vector<std::string> head =
+        seed % 2 == 0 ? std::vector<std::string>{"hx"}
+                      : std::vector<std::string>{"hx", "hy"};
+    Query query = RandomExistsChain(query_seed, db->mutable_vocab(), head);
+    return DifferentialInstance(seed, profile, std::move(db),
+                                std::move(query));
+  }
   Query query =
       RandomQuery(query_seed, db->mutable_vocab(), FormulaParamsFor(profile));
   return DifferentialInstance(seed, profile, std::move(db), std::move(query));

@@ -42,6 +42,12 @@ enum class InstanceProfile {
   /// the compiled RA engine's join ordering and semijoin reduction carry
   /// the per-image work.
   kLarge,
+  /// 5 constants (2 unknown), one unary and two binary predicates, and an
+  /// ∃-chain query over 3–5 atoms (`RandomExistsChain` in tests/testing.h)
+  /// with a unary or binary head: the shape whose bound columns the
+  /// compiler's required-columns pass drops early, with negated conjuncts
+  /// on bound variables, vacuous quantifiers and repeated variables.
+  kExistsChain,
 };
 
 const char* ProfileName(InstanceProfile profile);

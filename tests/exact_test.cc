@@ -527,6 +527,23 @@ TEST(ExactSweepOrderTest, OneWorkerDecidesAtTheFirstDecidingMapping) {
           const KernelMemoCounters& memo = short_budget.last_memo_counters();
           EXPECT_EQ(memo.row_hits + memo.row_misses,
                     brute ? 0 : tight.max_mappings);
+          // Only mappings that passed the budget gate are reported.
+          EXPECT_EQ(short_budget.last_mappings_examined(),
+                    brute ? 0 : tight.max_mappings);
+          if (brute) continue;
+
+          // Four workers race for the budget's last slots; the report
+          // still never exceeds it, whether or not another worker's range
+          // decided the candidate first.
+          ExactEvaluator racing(lb.get(), tight, sweep, /*threads=*/4);
+          Result<bool> raced = possible ? racing.IsPossible(query, candidate)
+                                        : racing.Contains(query, candidate);
+          if (raced.ok()) {
+            EXPECT_EQ(raced.value(), possible);
+          } else {
+            EXPECT_EQ(raced.status().code(), StatusCode::kResourceExhausted);
+          }
+          EXPECT_LE(racing.last_mappings_examined(), tight.max_mappings);
         }
       }
     }

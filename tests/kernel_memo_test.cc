@@ -5,6 +5,7 @@
 // "query-constant restriction + block sizes" signature.
 #include "lqdb/eval/kernel_memo.h"
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +13,9 @@
 #include "gtest/gtest.h"
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/cwdb/mapping.h"
+#include "lqdb/exact/exact.h"
+#include "lqdb/gen/scenario.h"
+#include "lqdb/logic/parser.h"
 #include "tests/testing.h"
 
 namespace lqdb {
@@ -203,6 +207,66 @@ TEST(KernelMemo, ConcurrentLookupsAndInsertsAgree) {
     const Value row[2] = {v, static_cast<Value>(v + 1)};
     EXPECT_EQ(memo.LookupRow(sig, row, 2), (v % 2 == 0) ? 1 : 0);
   }
+}
+
+// A sweep sizes its table from the candidate count: 34 candidates (the
+// unary-head lqbench worlds) keep the minimum table, the 1,156 candidates
+// of the E10 large binary-head chain get 2^19 buckets (about two rows per
+// chain instead of sixty), and the cap is the entry cap.
+TEST(KernelMemo, BucketCountFollowsTheCandidateCount) {
+  EXPECT_EQ(KernelMemo::BucketsFor(0), KernelMemo::kMinBuckets);
+  EXPECT_EQ(KernelMemo::BucketsFor(34), KernelMemo::kMinBuckets);
+  EXPECT_EQ(KernelMemo::BucketsFor(1156), size_t{1} << 19);
+  EXPECT_EQ(KernelMemo::BucketsFor(size_t{1} << 40),
+            KernelMemo::kDefaultMaxEntries);
+  EXPECT_EQ(KernelMemo(true, KernelMemo::kDefaultMaxEntries, 3000)
+                .num_buckets(),
+            size_t{4096});
+  EXPECT_EQ(KernelMemo(false, KernelMemo::kDefaultMaxEntries, 3000)
+                .num_buckets(),
+            size_t{1});
+
+  // The bucket count changes chain lengths, never a verdict.
+  KernelMemo small(true, KernelMemo::kDefaultMaxEntries, 1);
+  KernelMemo large(true, KernelMemo::kDefaultMaxEntries,
+                   KernelMemo::BucketsFor(1156));
+  const uint32_t sig = small.InternSignature("sig");
+  ASSERT_EQ(large.InternSignature("sig"), sig);
+  for (Value v = 0; v < 500; ++v) {
+    const Value row[2] = {v, static_cast<Value>(v * 7 % 13)};
+    if (v % 3 != 0) {
+      small.InsertRow(sig, row, 2, v % 2 == 0);
+      large.InsertRow(sig, row, 2, v % 2 == 0);
+    }
+  }
+  for (Value v = 0; v < 500; ++v) {
+    const Value row[2] = {v, static_cast<Value>(v * 7 % 13)};
+    EXPECT_EQ(small.LookupRow(sig, row, 2), large.LookupRow(sig, row, 2));
+    EXPECT_EQ(large.LookupRow(sig, row, 2),
+              v % 3 == 0 ? -1 : (v % 2 == 0 ? 1 : 0));
+  }
+
+  // End to end: a binary head over 12 constants sweeps 144 candidates, a
+  // table above the minimum; the answers match the memo-off sweep.
+  ScenarioParams params;
+  params.num_known = 10;
+  params.facts_per_relation = 24;
+  std::unique_ptr<CwDatabase> lb = MakeScenario(/*seed=*/3, params);
+  ASSERT_GT(KernelMemo::BucketsFor(lb->num_constants() * lb->num_constants()),
+            KernelMemo::kMinBuckets);
+  ASSERT_OK_AND_ASSIGN(
+      Query q, ParseQuery(lb->mutable_vocab(),
+                          "(x, w) . exists y. exists z. R0(x, y) & R1(y, z) "
+                          "& R0(z, w)"));
+  ExactOptions on;
+  ExactOptions off;
+  off.memo = false;
+  ExactEvaluator memo_on(lb.get(), on);
+  ExactEvaluator memo_off(lb.get(), off);
+  ASSERT_OK_AND_ASSIGN(Relation with_memo, memo_on.Answer(q));
+  ASSERT_OK_AND_ASSIGN(Relation without_memo, memo_off.Answer(q));
+  EXPECT_EQ(with_memo, without_memo);
+  EXPECT_GT(memo_on.last_memo_counters().row_misses, 0u);
 }
 
 TEST(KernelMemo, DisabledTableIsInert) {

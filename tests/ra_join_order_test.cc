@@ -10,7 +10,8 @@
 //   - the DP never inserts a cross product when a connected order exists;
 //   - the semijoin-reduced plan bound to a candidate set computes exactly
 //     `original ∩ candidates`, including under quantifiers that shadow a
-//     head variable (where pushdown must stop).
+//     head variable (where pushdown must stop);
+//   - the required-columns pass drops a bound column at its last join.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -252,6 +253,55 @@ TEST_F(RaJoinOrderTest, SemijoinReductionHandlesShadowedHeadVariable) {
   Relation expected(1);
   expected.Insert({a_});  // {A, D} ∩ {A, B}
   EXPECT_EQ(view->rows.ToRelation(), expected);
+}
+
+size_t WidestNode(const PlanPtr& plan) {
+  size_t widest = plan->schema().size();
+  for (const PlanPtr& c : plan->children()) {
+    widest = std::max(widest, WidestNode(c));
+  }
+  return widest;
+}
+
+/// Required-columns pushdown on the two-hop chain, under join-heavy-like
+/// statistics (34 constants, a 229-row R, a 34-row P): z is projected away
+/// right after its last join, so no node carries all of [x, y, z] and the
+/// plan is exactly the one the ∃-scoped rewrite compiles to,
+/// `π_x(R(x,y) ⋈ π_y(P(z) ⋈ R(y,z)))`.
+TEST_F(RaJoinOrderTest, TwoHopChainDropsEachBoundColumnAtItsLastJoin) {
+  RaCardinalities stats;
+  stats.domain_size = 34.0;
+  stats.relation_sizes.assign(vocab_.num_predicates(), 229.0);
+  stats.relation_sizes[p_] = 34.0;
+  const Query chain =
+      Parse("(x) . exists y. exists z. R(x, y) & R(y, z) & P(z)");
+  const Query scoped =
+      Parse("(x) . exists y. R(x, y) & (exists z. R(y, z) & P(z))");
+  RaCompiler compiler(&vocab_, stats);
+  ASSERT_OK_AND_ASSIGN(PlanPtr plan, compiler.Compile(chain));
+  ASSERT_OK_AND_ASSIGN(PlanPtr scoped_plan, compiler.Compile(scoped));
+  EXPECT_EQ(plan->ToString(vocab_), scoped_plan->ToString(vocab_));
+
+  const VarId y = vocab_.AddVariable("y");
+  ASSERT_EQ(plan->kind(), PlanKind::kProject);
+  const PlanPtr& join = plan->child();
+  ASSERT_EQ(join->kind(), PlanKind::kJoin);
+  bool projects_y = false;
+  for (const PlanPtr& side : join->children()) {
+    projects_y |= side->kind() == PlanKind::kProject &&
+                  side->schema() == std::vector<VarId>{y};
+  }
+  EXPECT_TRUE(projects_y) << plan->ToString(vocab_);
+  EXPECT_LE(WidestNode(plan), 2u) << plan->ToString(vocab_);
+
+  RaExecutor exec(db_.get());
+  ASSERT_OK_AND_ASSIGN(RaTable rows, exec.Execute(plan));
+  // Two R-hops end in P's d from b (via c), c and d (via d); none reach a.
+  Relation expected(1);
+  expected.Insert({b_});
+  expected.Insert({c_});
+  expected.Insert({d_});
+  EXPECT_EQ(rows.rel, expected);
 }
 
 /// Boolean queries have nothing to filter by: the reduction is the

@@ -210,6 +210,21 @@ TEST_F(RaValidateTest, SharingBoundRejectsOversizedDag) {
   EXPECT_OK(ValidatePlan(join, opts));
 }
 
+TEST_F(RaValidateTest, ProjectOverProjectRejected) {
+  // The factory collapses π_x ∘ π_{x,y} into one projection ...
+  ASSERT_OK_AND_ASSIGN(PlanPtr inner, Plan::Project(ScanR(x_, y_), {x_, y_}));
+  ASSERT_OK_AND_ASSIGN(PlanPtr outer, Plan::Project(inner, {x_}));
+  EXPECT_EQ(outer->child()->kind(), PlanKind::kScan);
+  EXPECT_OK(ValidatePlan(outer, Opts()));
+  // ... so a nested pair can only be assembled by hand, and is a finding.
+  PlanTestPeer::SetChild(outer, 0, inner);
+  const Status s = ValidatePlan(outer, Opts());
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("projection directly over a projection"),
+            std::string::npos)
+      << s.ToString();
+}
+
 TEST_F(RaValidateTest, CycleInPlanGraphRejected) {
   // Tie a projection's child back to itself through the backdoor. The
   // shared_ptr cycle is broken again below so the test does not leak.

@@ -1,6 +1,7 @@
 #ifndef LQDB_TESTS_TESTING_H_
 #define LQDB_TESTS_TESTING_H_
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -206,6 +207,78 @@ inline Query RandomQuery(uint64_t seed, Vocabulary* vocab,
     head.push_back(vocab->AddVariable(v));
   }
   return Query::Make(head, std::move(body)).value();
+}
+
+/// Builds a random ∃-chain query `(head) . ∃b1 ... ∃bk. A1 ∧ ... ∧ An`
+/// over 3–5 atoms of the schema predicates of `vocab` (which must include
+/// a binary one), the shape whose bound columns the compiler's
+/// required-columns pass drops early. Consecutive binary atoms share a
+/// variable; on top of that the chain may repeat a variable inside one
+/// atom (`R(v, v)`), close a cycle back to an earlier variable, negate a
+/// conjunct over a bound variable (whose column must survive until its
+/// anti-join), and quantify a vacuous variable (whose domain scan must
+/// survive, so an empty domain still falsifies the ∃). A second head
+/// variable, when given, ends the chain. Deterministic in `seed`.
+inline Query RandomExistsChain(uint64_t seed, Vocabulary* vocab,
+                               const std::vector<std::string>& head) {
+  Rng rng(seed);
+  FormulaBuilder b(vocab);
+  std::vector<PredId> unary;
+  std::vector<PredId> binary;
+  for (PredId pred : vocab->SchemaPredicates()) {
+    if (vocab->PredicateArity(pred) == 1) unary.push_back(pred);
+    if (vocab->PredicateArity(pred) == 2) binary.push_back(pred);
+  }
+  auto atom = [&](const std::vector<PredId>& preds,
+                  std::vector<std::string> vars) {
+    TermList args;
+    for (const std::string& v : vars) args.push_back(b.V(v));
+    return Formula::Atom(preds[rng.Below(preds.size())], std::move(args));
+  };
+  std::vector<std::string> used = {head[0]};
+  std::vector<std::string> bound;
+  std::vector<FormulaPtr> conjuncts;
+  std::string prev = head[0];
+  const int atoms = 3 + static_cast<int>(rng.Below(3));
+  const bool ends_at_second_head = head.size() > 1;
+  for (int i = 0; i < atoms; ++i) {
+    const bool last = i + 1 == atoms;
+    if (!(last && ends_at_second_head) && !unary.empty() && rng.Chance(0.3)) {
+      conjuncts.push_back(atom(unary, {used[rng.Below(used.size())]}));
+      continue;
+    }
+    std::string next;
+    if (last && ends_at_second_head) {
+      next = head[1];
+    } else if (rng.Chance(0.15)) {
+      next = prev;  // R(v, v)
+    } else if (rng.Chance(0.2)) {
+      next = used[rng.Below(used.size())];  // close a cycle
+    } else {
+      next = "c" + std::to_string(bound.size());
+      bound.push_back(next);
+    }
+    if (std::find(used.begin(), used.end(), next) == used.end()) {
+      used.push_back(next);
+    }
+    conjuncts.push_back(rng.Chance(0.5) ? atom(binary, {prev, next})
+                                        : atom(binary, {next, prev}));
+    prev = next;
+  }
+  if (!bound.empty() && rng.Chance(0.5)) {
+    const std::string& v = bound[rng.Below(bound.size())];
+    conjuncts.push_back(b.Not(
+        unary.empty() || rng.Chance(0.5)
+            ? atom(binary, {v, used[rng.Below(used.size())]})
+            : atom(unary, {v})));
+  }
+  FormulaPtr body = conjuncts.size() == 1 ? conjuncts[0]
+                                          : b.And(std::move(conjuncts));
+  if (rng.Chance(0.3)) body = b.Exists("vac", std::move(body));
+  for (const std::string& v : bound) body = b.Exists(v, std::move(body));
+  std::vector<VarId> head_ids;
+  for (const std::string& v : head) head_ids.push_back(vocab->AddVariable(v));
+  return Query::Make(head_ids, std::move(body)).value();
 }
 
 }  // namespace testing
