@@ -105,6 +105,7 @@ KernelSignatureContext::KernelSignatureContext(
   std::unordered_map<uint64_t, std::vector<ConstId>> buckets;
   for (ConstId c = 0; c < n; ++c) {
     if (is_pinned[c]) continue;
+    ++num_unpinned_;
     if (occurrences[c] == 0) {
       if (no_fact_class < 0) {
         no_fact_class = static_cast<int32_t>(num_classes_++);
@@ -190,32 +191,11 @@ void KernelSignatureContext::SignatureOf(const ConstMapping& h,
   }
 }
 
-namespace {
-
-size_t CeilPowerOfTwo(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-KernelMemo::KernelMemo(bool enabled, size_t max_entries, size_t buckets)
+KernelMemo::KernelMemo(bool enabled, size_t max_entries)
     : enabled_(enabled),
-      max_entries_(max_entries),
-      buckets_(enabled ? CeilPowerOfTwo(buckets) : 1) {
-  for (auto& head : buckets_) head.store(nullptr, std::memory_order_relaxed);
-}
-
-size_t KernelMemo::BucketsFor(size_t num_candidates) {
-  const size_t rows =
-      std::min(num_candidates, kDefaultMaxEntries / kRowsPerCandidate) *
-      kRowsPerCandidate;
-  return std::max(CeilPowerOfTwo(rows), kMinBuckets);
-}
+      max_entries_(std::min<size_t>(max_entries, kEmptySlot)) {}
 
 uint32_t KernelMemo::InternSignature(const std::string& sig) {
-  MutexLock lock(sig_mu_);
   auto [it, fresh] =
       sig_ids_.emplace(sig, static_cast<uint32_t>(sig_ids_.size()));
   (void)fresh;
@@ -226,64 +206,60 @@ uint64_t KernelMemo::HashRow(uint32_t sig_id, const Value* row,
                              size_t arity) {
   uint64_t h = Mix(kFnvOffset, sig_id);
   for (size_t i = 0; i < arity; ++i) h = Mix(h, row[i]);
-  return h;
+  // FNV's low bits see only the inputs' low bits; the index masks by them.
+  return h ^ (h >> 32);
+}
+
+size_t KernelMemo::Probe(uint64_t hash, uint32_t sig_id, const Value* row,
+                         size_t arity) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+    const uint32_t e = index_[slot];
+    if (e == kEmptySlot) return slot;
+    const Entry& entry = entries_[e];
+    if (entry.hash == hash && entry.sig_id == sig_id &&
+        entry.arity == arity &&
+        std::equal(row, row + arity, arena_.begin() + entry.offset)) {
+      return slot;
+    }
+  }
 }
 
 int KernelMemo::LookupRow(uint32_t sig_id, const Value* row,
                           size_t arity) const {
-  if (!enabled_) return -1;
-  const uint64_t hash = HashRow(sig_id, row, arity);
-  const Node* node =
-      buckets_[hash & (buckets_.size() - 1)].load(std::memory_order_acquire);
-  for (; node != nullptr; node = node->next) {
-    if (node->hash == hash && node->sig_id == sig_id &&
-        node->arity == arity &&
-        std::equal(row, row + arity, node->row.begin())) {
-      return node->verdict ? 1 : 0;
-    }
-  }
-  return -1;
+  if (index_.empty()) return -1;
+  const uint32_t e = index_[Probe(HashRow(sig_id, row, arity), sig_id, row,
+                                  arity)];
+  if (e == kEmptySlot) return -1;
+  return entries_[e].verdict ? 1 : 0;
 }
 
 void KernelMemo::InsertRow(uint32_t sig_id, const Value* row, size_t arity,
                            bool verdict) {
-  if (!enabled_) return;
-  const uint64_t hash = HashRow(sig_id, row, arity);
-  std::atomic<Node*>& head = buckets_[hash & (buckets_.size() - 1)];
-  MutexLock lock(write_mu_);
-  for (Node* node = head.load(std::memory_order_relaxed); node != nullptr;
-       node = node->next) {
-    if (node->hash == hash && node->sig_id == sig_id &&
-        node->arity == arity &&
-        std::equal(row, row + arity, node->row.begin())) {
-      return;  // first writer wins
+  if (!enabled_ || entries_.size() >= max_entries_) return;
+  if (2 * (entries_.size() + 1) > index_.size()) {
+    // Double the index (64 slots at first) and re-place every row by its
+    // stored hash; rows are unique, so each lands on an empty slot.
+    index_.assign(std::max<size_t>(64, 2 * index_.size()), kEmptySlot);
+    const size_t mask = index_.size() - 1;
+    for (uint32_t e = 0; e < entries_.size(); ++e) {
+      size_t slot = entries_[e].hash & mask;
+      while (index_[slot] != kEmptySlot) slot = (slot + 1) & mask;
+      index_[slot] = e;
     }
   }
-  if (size_.load(std::memory_order_relaxed) >= max_entries_) return;
-  nodes_.emplace_back();
-  Node& node = nodes_.back();
-  node.hash = hash;
-  node.sig_id = sig_id;
-  node.arity = static_cast<uint32_t>(arity);
-  node.verdict = verdict;
-  node.row.assign(row, row + arity);
-  node.next = head.load(std::memory_order_relaxed);
-  // Every field above is written before the publish, and `next` never
-  // changes afterwards (nodes only prepend), so a reader that acquires the
-  // head sees a fully initialized chain.
-  head.store(&node, std::memory_order_release);
-  size_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t hash = HashRow(sig_id, row, arity);
+  const size_t slot = Probe(hash, sig_id, row, arity);
+  if (index_[slot] != kEmptySlot) return;  // first writer wins
+  index_[slot] = static_cast<uint32_t>(entries_.size());
+  entries_.push_back({hash, arena_.size(), sig_id,
+                      static_cast<uint32_t>(arity), verdict});
+  arena_.insert(arena_.end(), row, row + arity);
 }
 
 KernelMemoCounters KernelMemo::counters() const {
-  KernelMemoCounters out;
-  out.row_hits = hits_.load(std::memory_order_relaxed);
-  out.row_misses = misses_.load(std::memory_order_relaxed);
-  out.images_skipped = images_skipped_.load(std::memory_order_relaxed);
-  {
-    MutexLock lock(sig_mu_);
-    out.signatures = sig_ids_.size();
-  }
+  KernelMemoCounters out = counters_;
+  out.signatures = sig_ids_.size();
   return out;
 }
 

@@ -1,9 +1,8 @@
 #ifndef LQDB_EVAL_KERNEL_MEMO_H_
 #define LQDB_EVAL_KERNEL_MEMO_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/cwdb/mapping.h"
 #include "lqdb/relational/tuple.h"
-#include "lqdb/util/annotations.h"
 
 namespace lqdb {
 
@@ -47,6 +45,19 @@ namespace lqdb {
 /// *not* part of the signature: uniqueness axioms only gate which mappings
 /// are enumerated, never the structure of an image, and every memoized
 /// verdict is keyed under mappings the enumeration actually visited.
+///
+/// Each sweep worker owns one `KernelMemo` for the length of one call, so
+/// a verdict is reused only within the worker that computed it: the table
+/// needs no lock, and a worker count of W splits the row cap W ways.
+///
+/// The zero-hit rule. When every unpinned constant is alone in its
+/// interchangeability class (`KernelSignatureContext::all_singletons`),
+/// every constant carries a code of its own, so a signature names exactly
+/// one kernel partition. A canonical sweep visits each partition once, and
+/// a mapping looks its rows up before it records them, so no lookup can
+/// ever hit. Such a sweep builds no table and computes no signature; only
+/// `brute`, which visits every mapping of a partition, keeps the memo
+/// there.
 
 /// Counters of one memoized sweep (monotone per `KernelMemo`).
 struct KernelMemoCounters {
@@ -104,6 +115,10 @@ class KernelSignatureContext {
   /// Number of interchangeability classes among the unpinned constants.
   size_t num_classes() const { return num_classes_; }
 
+  /// Whether every unpinned constant is alone in its class: then each
+  /// signature names exactly one kernel partition (the zero-hit rule).
+  bool all_singletons() const { return num_classes_ == num_unpinned_; }
+
   /// Fills `s->sig` (the signature) and `s->relabel` (image value → block
   /// rank) for `h`, which must map the full constant space `[0, n)`.
   void SignatureOf(const ConstMapping& h, KernelSignatureScratch* s) const;
@@ -114,41 +129,30 @@ class KernelSignatureContext {
  private:
   std::vector<int32_t> code_of_;
   size_t num_classes_ = 0;
+  size_t num_unpinned_ = 0;
 };
 
-/// A concurrent (signature, relabeled candidate row) → verdict table,
-/// shared by every worker of one engine call. Reads are lock-free (the
-/// parallel engine's workers look up rows for every mapping); writes
-/// serialize on a mutex and publish append-only nodes with release stores,
-/// so the table never moves or frees a node while readers walk it. The
-/// table saturates at `max_entries` (stops inserting, never evicts): a
-/// degenerate workload cannot balloon memory, only lose hits.
+/// A (signature, relabeled candidate row) → verdict table for one sweep
+/// worker. Every worker of a sweep owns its own table (see
+/// `ExactEvaluator`), so the table is single-threaded: rows live in one
+/// flat arena, an open-addressing index over them doubles as rows are
+/// added, and the counters are plain integers. The table saturates at
+/// `max_entries` rows (stops inserting, never evicts): a degenerate
+/// workload cannot balloon memory, only lose hits.
 class KernelMemo {
  public:
   static constexpr size_t kDefaultMaxEntries = size_t{1} << 22;
-  /// The bucket count of a table sized for few candidates.
-  static constexpr size_t kMinBuckets = size_t{1} << 14;
 
-  /// `buckets` is rounded up to a power of two; with the memo off the
-  /// table has one bucket.
-  explicit KernelMemo(bool enabled,
-                      size_t max_entries = kDefaultMaxEntries,
-                      size_t buckets = kMinBuckets);
-
-  /// The bucket count for a sweep over `num_candidates` candidates: every
-  /// candidate may take one row per signature, so the table is sized for
-  /// `kRowsPerCandidate` rows each (chains stay a few nodes long), clamped
-  /// to `[kMinBuckets, kDefaultMaxEntries]`.
-  static size_t BucketsFor(size_t num_candidates);
+  /// With `enabled` false every lookup misses and every insert is dropped.
+  explicit KernelMemo(bool enabled, size_t max_entries = kDefaultMaxEntries);
 
   bool enabled() const { return enabled_; }
-  size_t num_buckets() const { return buckets_.size(); }
 
   /// Interns a signature, returning its dense id.
   uint32_t InternSignature(const std::string& sig);
 
   /// Verdict of a relabeled row under a signature: 1 (true), 0 (false) or
-  /// -1 (unknown). Lock-free.
+  /// -1 (unknown).
   int LookupRow(uint32_t sig_id, const Value* row, size_t arity) const;
 
   /// Records a verdict (first writer wins; duplicates are dropped).
@@ -156,48 +160,38 @@ class KernelMemo {
                  bool verdict);
 
   void CountLookups(uint64_t hits, uint64_t misses) {
-    hits_.fetch_add(hits, std::memory_order_relaxed);
-    misses_.fetch_add(misses, std::memory_order_relaxed);
+    counters_.row_hits += hits;
+    counters_.row_misses += misses;
   }
-  void CountImageSkipped() {
-    images_skipped_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void CountImageSkipped() { ++counters_.images_skipped; }
 
   KernelMemoCounters counters() const;
 
  private:
-  struct Node {
-    Node* next;
+  struct Entry {
     uint64_t hash;
+    size_t offset;  // the row's first value in `arena_`
     uint32_t sig_id;
     uint32_t arity;
     bool verdict;
-    std::vector<Value> row;
   };
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
   static uint64_t HashRow(uint32_t sig_id, const Value* row, size_t arity);
-
-  /// Rows a sweep is expected to record per candidate (`BucketsFor`).
-  static constexpr size_t kRowsPerCandidate = 256;
+  /// The index slot holding the row, or the empty slot that ends its
+  /// probe sequence. The index must be non-empty.
+  size_t Probe(uint64_t hash, uint32_t sig_id, const Value* row,
+               size_t arity) const;
 
   bool enabled_;
   size_t max_entries_;
-  /// Deliberately unguarded: bucket heads are read lock-free with acquire
-  /// loads; only the publishing store (under `write_mu_`) writes them.
-  std::vector<std::atomic<Node*>> buckets_;
-
-  mutable Mutex write_mu_;
-  /// Stable addresses; grows under `write_mu_` only, but published nodes
-  /// are read lock-free through `buckets_`.
-  std::deque<Node> nodes_ GUARDED_BY(write_mu_);
-  std::atomic<size_t> size_{0};
-
-  mutable Mutex sig_mu_;
-  std::unordered_map<std::string, uint32_t> sig_ids_ GUARDED_BY(sig_mu_);
-
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> images_skipped_{0};
+  std::vector<Entry> entries_;
+  std::vector<Value> arena_;
+  /// Entry numbers by hash, linear probing; a power-of-two size at most
+  /// half full, or empty before the first insert.
+  std::vector<uint32_t> index_;
+  std::unordered_map<std::string, uint32_t> sig_ids_;
+  KernelMemoCounters counters_;
 };
 
 }  // namespace lqdb

@@ -67,24 +67,25 @@ Status BudgetExceeded(uint64_t max_mappings) {
                                    std::to_string(max_mappings));
 }
 
-/// One worker's per-image check: the kernel memo first — when every open
-/// candidate's verdict is already known the image is never built — then
-/// the image of `h` and one checker call over the misses only, whose
-/// verdicts are recorded in the memo. The image is `MappingImage`'s
-/// relabeling `hr` of `h`, so the checked rows are mapped through `hr`;
-/// the memo keys are taken from `h` itself.
+/// One worker's per-image check: its own kernel memo table first — when
+/// every open candidate's verdict is already known the image is never
+/// built — then the image of `h` and one checker call over the misses
+/// only, whose verdicts are recorded in the table. The image is
+/// `MappingImage`'s relabeling `hr` of `h`, so the checked rows are mapped
+/// through `hr`; the memo keys are taken from `h` itself. A null `ctx`
+/// turns the memo off: no signature, no table.
 class ImageCheck {
  public:
   ImageCheck(const CwDatabase& lb, const BoundQuery& bound,
              const ReducedPlan* plan, const EvalOptions& eval,
-             KernelMemo* memo, const KernelSignatureContext* ctx)
+             const KernelSignatureContext* ctx, size_t memo_entries)
       : bound_(bound),
         plan_(plan),
         image_(lb),
         eval_(&image_.db(), eval),
         exec_(&image_.db()),
-        memo_(memo),
-        ctx_(ctx) {}
+        ctx_(ctx),
+        memo_(ctx != nullptr, memo_entries) {}
 
   // `eval_` and `exec_` hold the address of `image_.db()`.
   ImageCheck(const ImageCheck&) = delete;
@@ -100,24 +101,24 @@ class ImageCheck {
     verdicts_.resize(count);
     miss_.clear();
     uint32_t sig_id = 0;
-    if (memo_ != nullptr) {
+    if (ctx_ != nullptr) {
       ctx_->SignatureOf(h, &sig_);
-      sig_id = memo_->InternSignature(sig_.sig);
+      sig_id = memo_.InternSignature(sig_.sig);
       keys_.resize(count * arity);
       for (size_t k = 0; k < count; ++k) {
         const Tuple& c = candidates[open[k]];
         Value* key = keys_.data() + k * arity;
         for (size_t i = 0; i < arity; ++i) key[i] = sig_.relabel[h[c[i]]];
-        const int verdict = memo_->LookupRow(sig_id, key, arity);
+        const int verdict = memo_.LookupRow(sig_id, key, arity);
         if (verdict < 0) {
           miss_.push_back(static_cast<uint32_t>(k));
         } else {
           verdicts_[k] = static_cast<char>(verdict);
         }
       }
-      memo_->CountLookups(count - miss_.size(), miss_.size());
+      memo_.CountLookups(count - miss_.size(), miss_.size());
       if (miss_.empty()) {
-        memo_->CountImageSkipped();
+        memo_.CountImageSkipped();
         return Status::OK();
       }
     } else {
@@ -138,14 +139,15 @@ class ImageCheck {
       const uint32_t k = miss_[j];
       const bool verdict = miss_verdicts_[j] != 0;
       verdicts_[k] = static_cast<char>(verdict);
-      if (memo_ != nullptr) {
-        memo_->InsertRow(sig_id, keys_.data() + k * arity, arity, verdict);
+      if (ctx_ != nullptr) {
+        memo_.InsertRow(sig_id, keys_.data() + k * arity, arity, verdict);
       }
     }
     return Status::OK();
   }
 
   const std::vector<char>& verdicts() const { return verdicts_; }
+  KernelMemoCounters memo_counters() const { return memo_.counters(); }
 
  private:
   /// The checker: `rows_` holds `count` mapped candidates; fills
@@ -176,8 +178,8 @@ class ImageCheck {
   MappingImage image_;
   Evaluator eval_;
   RaExecutor exec_;
-  KernelMemo* memo_;  // null with the memo off
-  const KernelSignatureContext* ctx_;
+  const KernelSignatureContext* ctx_;  // null with the memo off
+  KernelMemo memo_;
   KernelSignatureScratch sig_;
   std::vector<Value> keys_;      // memo-relabeled rows, count × arity
   std::vector<uint32_t> miss_;   // positions in `open` the memo missed
@@ -404,14 +406,17 @@ Status ExactEvaluator::Sweep(const BoundQuery& bound,
           ? &bound.ra_reduced()
           : nullptr;
   last_used_ra_ = plan != nullptr;
-  // One verdict table per call, shared by all workers: reads are
-  // lock-free and the signature context is immutable once built. Its
-  // lifetime is one call — cross-call reuse is the service layer's result
-  // cache, which also knows when the database changed.
-  KernelMemo memo(options_.memo, KernelMemo::kDefaultMaxEntries,
-                  KernelMemo::BucketsFor(candidates.size()));
+  // The kernel memo: one verdict table per worker, living for this call
+  // only — cross-call reuse is the service layer's result cache, which also
+  // knows when the database changed. The workers share the immutable
+  // signature context and split the row cap. The zero-hit rule
+  // (eval/kernel_memo.h): when every unpinned constant is alone in its
+  // class, a canonical sweep can never hit, so it runs without the memo.
   std::optional<KernelSignatureContext> ctx;
-  if (memo.enabled()) ctx.emplace(*lb_, bound.constants());
+  if (options_.memo) {
+    ctx.emplace(*lb_, bound.constants());
+    if (sweep_ != ExactSweep::kBrute && ctx->all_singletons()) ctx.reset();
+  }
   // `open[i]` is 1 while candidate i is undecided; `remaining` counts them
   // so the last decision stops every worker. A mapping decides candidate i
   // when its verdict equals `possible`.
@@ -426,8 +431,8 @@ Status ExactEvaluator::Sweep(const BoundQuery& bound,
   std::vector<std::vector<uint32_t>> snapshots(workers);
   for (int w = 0; w < workers; ++w) {
     checks.push_back(std::make_unique<ImageCheck>(
-        *lb_, bound, plan, options_.eval, memo.enabled() ? &memo : nullptr,
-        ctx ? &*ctx : nullptr));
+        *lb_, bound, plan, options_.eval, ctx ? &*ctx : nullptr,
+        KernelMemo::kDefaultMaxEntries / workers));
     snapshots[w].resize(n);
     std::iota(snapshots[w].begin(), snapshots[w].end(), 0u);
   }
@@ -471,7 +476,8 @@ Status ExactEvaluator::Sweep(const BoundQuery& bound,
   });
   last_mappings_ = walk.examined();
   last_worker_ranges_ = walk.worker_ranges();
-  last_memo_ = memo.counters();
+  last_memo_ = {};
+  for (const auto& check : checks) last_memo_ += check->memo_counters();
   decided->resize(n);
   for (size_t i = 0; i < n; ++i) {
     (*decided)[i] = open[i].load(std::memory_order_relaxed) == 0;

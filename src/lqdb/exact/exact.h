@@ -39,10 +39,13 @@ struct ExactOptions {
   size_t ra_dp_join_cap = 10;
   /// Kernel-class verdict memoization (eval/kernel_memo.h): per-mapping
   /// signatures over the query-relevant constants let signature-equivalent
-  /// images share candidate verdicts within one call, skipping the image
-  /// build entirely on a full hit. Answers are bit-identical either way
-  /// (pinned by the differential suite); the toggle exists for A/B runs
-  /// (`set memo on|off` in the shell).
+  /// images share candidate verdicts within one worker of one call,
+  /// skipping the image build entirely on a full hit. Each worker owns its
+  /// table. A canonical sweep whose unpinned constants are all singleton
+  /// classes can never hit (the zero-hit rule), so it runs without the
+  /// memo whatever this says. Answers are bit-identical either way (pinned
+  /// by the differential suite); the toggle exists for A/B runs (`set memo
+  /// on|off` in the shell).
   bool memo = true;
   EvalOptions eval;
 };
@@ -117,16 +120,19 @@ enum class ExactSweep {
 ///     parameter, or the batched `Evaluator::SatisfiesBatch` — the latter
 ///     for `kBatched` and for queries outside the compilable first-order
 ///     fragment (second-order quantification). Both sit behind one kernel
-///     memo front end (eval/kernel_memo.h).
+///     memo front end (eval/kernel_memo.h): each worker owns a verdict
+///     table, and a canonical sweep whose unpinned constants are all
+///     singleton classes builds none, since no lookup there could hit.
 ///
 /// The worker count fixes the third, the scheduler, which cannot change an
 /// answer: a candidate's final state is a property of the mapping space,
 /// not of the visiting order. One worker walks the space on the calling
 /// thread in enumeration order, so the counterexample, witness and
 /// `last_mappings_examined()` are deterministic. More workers steal ranges
-/// of the canonical space from one another (`Walk` in exact.cc) and share
-/// the memo table; answers stay bit-identical, while the reported mapping
-/// and, under early exit, the mapping count may vary between runs.
+/// of the canonical space from one another (`Walk` in exact.cc), each with
+/// its own memo table; answers stay bit-identical, while the reported
+/// mapping, the memo counters and, under early exit, the mapping count may
+/// vary between runs.
 ///
 /// Compiled plans are cached per evaluator, keyed by query identity (the
 /// printed head + body and the join-order cap), so repeated calls reuse
@@ -176,7 +182,8 @@ class ExactEvaluator {
   /// Mappings examined by the most recent call (summed across workers).
   uint64_t last_mappings_examined() const { return last_mappings_; }
 
-  /// Kernel-memo counters of the most recent call (zeros with memo off).
+  /// Kernel-memo counters of the most recent call, summed over the workers'
+  /// tables (zeros with the memo off or under the zero-hit rule).
   const KernelMemoCounters& last_memo_counters() const { return last_memo_; }
 
   /// Whether the most recent call checked images with a compiled plan (as

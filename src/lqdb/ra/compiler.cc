@@ -121,9 +121,17 @@ double RaCompiler::Estimate(const PlanPtr& plan) {
     case PlanKind::kUnion:
       est = Estimate(plan->left()) + Estimate(plan->right());
       break;
-    case PlanKind::kProject:
+    case PlanKind::kProject: {
+      // At most the child's rows, and at most every tuple over the domain;
+      // the power is multiplied out only while below the child's estimate.
       est = Estimate(plan->child());
+      double space = 1.0;
+      for (size_t i = 0; i < plan->schema().size() && space < est; ++i) {
+        space *= domain;
+      }
+      est = std::min(est, space);
       break;
+    }
   }
   estimate_cache_.emplace(plan, est);
   return est;

@@ -31,7 +31,6 @@ std::string EngineOptionsFingerprint(const EngineOptions& options) {
 Service::Service(CwDatabase* db, ServiceOptions options)
     : db_(db),
       options_(options),
-      cache_(options.cache_shards),
       pool_(options.threads > 0 ? options.threads
                                 : ThreadPool::DefaultThreads()) {}
 

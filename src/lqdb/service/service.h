@@ -27,8 +27,6 @@ struct ServiceOptions {
   /// Worker threads of the shared async executor; 0 means hardware
   /// concurrency.
   int threads = 0;
-  /// Mutex shards of the prepared-query cache.
-  size_t cache_shards = 8;
 };
 
 /// Service-wide counters, all monotone since construction (except

@@ -16,7 +16,10 @@ namespace lqdb {
 /// `Wait()` blocks until every submitted task has finished, so one pool can
 /// be reused across many fan-out rounds (an `ExactEvaluator` with more than
 /// one worker keeps a pool alive across queries instead of spawning threads
-/// per call; a one-worker evaluator builds none). The constructor starts
+/// per call; a one-worker evaluator builds none). A fan-out shares no
+/// state through the pool: each Theorem 1 sweep worker owns its image,
+/// checker and kernel-memo table, and the workers meet only at the sweep's
+/// range queue, candidate flags and mapping budget. The constructor starts
 /// every thread it is asked for: callers bound the count (the Theorem 1
 /// sweep at `kMaxSweepThreads`).
 ///

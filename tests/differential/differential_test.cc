@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -28,6 +29,7 @@
 #include "lqdb/cwdb/mapping.h"
 #include "lqdb/engine/engine.h"
 #include "lqdb/eval/evaluator.h"
+#include "lqdb/eval/kernel_memo.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
 #include "lqdb/io/text_format.h"
@@ -614,30 +616,67 @@ TEST(DifferentialTest, ConcurrentSessionsMatchSequentialReplay) {
   }
 }
 
+/// The (profile, seed count) pairs of the memo dimensions: the same 298
+/// instances the other dimensions sweep.
+struct MemoSweep {
+  InstanceProfile profile;
+  uint64_t seeds;
+};
+constexpr MemoSweep kMemoSweeps[] = {
+    {InstanceProfile::kTiny, 40},   {InstanceProfile::kSmall, 40},
+    {InstanceProfile::kBinary, 40}, {InstanceProfile::kSmall, 30},
+    {InstanceProfile::kBinary, 30}, {InstanceProfile::kFullySpecified, 40},
+    {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
+    {InstanceProfile::kExistsChain, 30},
+};
+
+/// The zero-hit rule's premise (eval/kernel_memo.h) over the memo corpus:
+/// whenever the signature context reports every unpinned constant alone in
+/// its class, the canonical mappings' signatures are pairwise distinct, so
+/// a canonical sweep there could never hit. Both sides of the rule occur.
+TEST(DifferentialTest, AllSingletonContextsGiveDistinctSignatures) {
+  uint64_t all_singleton = 0;
+  uint64_t shared_class = 0;
+  for (const MemoSweep& sweep : kMemoSweeps) {
+    for (uint64_t seed = 0; seed < sweep.seeds; ++seed) {
+      DifferentialInstance instance = MakeInstance(seed, sweep.profile);
+      SCOPED_TRACE(Describe(instance));
+      ASSERT_OK_AND_ASSIGN(BoundQuery bound, BoundQuery::Bind(instance.query));
+      const KernelSignatureContext ctx(*instance.db, bound.constants());
+      if (!ctx.all_singletons()) {
+        ++shared_class;
+        continue;
+      }
+      ++all_singleton;
+      std::set<std::string> signatures;
+      uint64_t mappings = 0;
+      KernelSignatureScratch scratch;
+      ForEachCanonicalMapping(*instance.db, [&](const ConstMapping& h) {
+        ++mappings;
+        ctx.SignatureOf(h, &scratch);
+        signatures.insert(scratch.sig);
+        return true;
+      });
+      EXPECT_EQ(signatures.size(), mappings);
+    }
+  }
+  EXPECT_GT(all_singleton, 0u);
+  EXPECT_GT(shared_class, 0u);
+}
+
 /// The memoization dimension: every Theorem 1 registry engine, with the
 /// kernel memo on (the default) and off, must produce answers bit-identical
-/// to the memo-off batched sweep on every instance the suite generates — the same 298
-/// (profile, seed) pairs the other dimensions sweep. An unsound signature
-/// (one that identifies non-isomorphic images) would surface here as a
-/// wrong reused verdict; see kernel_memo.h for the counterexample that
-/// killed the naive block-size signature. The sweep also asserts the memo
-/// actually engaged (hits accumulated somewhere), so the comparison can
-/// never silently degenerate into memo-off vs memo-off.
+/// to the memo-off batched sweep on every instance of `kMemoSweeps`, and
+/// `parallel-exact` at 1, 2, 4 and 8 workers, each with its own table. An
+/// unsound signature (one that identifies non-isomorphic images) would
+/// surface here as a wrong reused verdict; see kernel_memo.h for the
+/// counterexample that killed the naive block-size signature. The sweep
+/// also asserts the memo actually engaged (hits accumulated somewhere), so
+/// the comparison can never silently degenerate into memo-off vs memo-off.
 TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
-  struct Sweep {
-    InstanceProfile profile;
-    uint64_t seeds;
-  };
-  const Sweep sweeps[] = {
-      {InstanceProfile::kTiny, 40},   {InstanceProfile::kSmall, 40},
-      {InstanceProfile::kBinary, 40}, {InstanceProfile::kSmall, 30},
-      {InstanceProfile::kBinary, 30}, {InstanceProfile::kFullySpecified, 40},
-      {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
-      {InstanceProfile::kExistsChain, 30},
-  };
   uint64_t instances = 0;
   uint64_t total_hits = 0;
-  for (const Sweep& sweep : sweeps) {
+  for (const MemoSweep& sweep : kMemoSweeps) {
     for (uint64_t seed = 0; seed < sweep.seeds; ++seed) {
       ++instances;
       DifferentialInstance instance = MakeInstance(seed, sweep.profile);
@@ -652,26 +691,30 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
 
       // Brute enumerates every mapping (not just canonical representatives),
       // so its sweep is exponentially redundant — the memo's best case and
-      // the harshest consistency check, since most verdicts are reused. The
-      // parallel engine shares one verdict table across its 4 workers.
+      // the harshest consistency check, since most verdicts are reused.
       for (const char* name :
            {"brute", "exact", "batched-exact", "parallel-exact"}) {
-        for (bool memo : {false, true}) {
-          SCOPED_TRACE(std::string(name) + (memo ? " memo" : " no-memo"));
-          std::unique_ptr<QueryEngine> engine =
-              MakeEngine(name, instance.db.get(), /*threads=*/4, memo);
-          ASSERT_OK_AND_ASSIGN(Relation answer,
-                               engine->Answer(instance.query));
-          EXPECT_EQ(answer, baseline_answer)
-              << AnswerDiff(*instance.db, name, answer, "baseline",
-                            baseline_answer);
-          total_hits += engine->last_memo_counters().row_hits;
-          if (!engine->capabilities().supports_possible) continue;
-          ASSERT_OK_AND_ASSIGN(Relation possible,
-                               engine->PossibleAnswer(instance.query));
-          EXPECT_EQ(possible, baseline_possible)
-              << AnswerDiff(*instance.db, name, possible, "baseline",
-                            baseline_possible);
+        const bool threaded = std::string(name) == "parallel-exact";
+        for (int threads : threaded ? std::vector<int>{1, 2, 4, 8}
+                                    : std::vector<int>{1}) {
+          for (bool memo : {false, true}) {
+            SCOPED_TRACE(std::string(name) + "/" + std::to_string(threads) +
+                         (memo ? " memo" : " no-memo"));
+            std::unique_ptr<QueryEngine> engine =
+                MakeEngine(name, instance.db.get(), threads, memo);
+            ASSERT_OK_AND_ASSIGN(Relation answer,
+                                 engine->Answer(instance.query));
+            EXPECT_EQ(answer, baseline_answer)
+                << AnswerDiff(*instance.db, name, answer, "baseline",
+                              baseline_answer);
+            total_hits += engine->last_memo_counters().row_hits;
+            if (!engine->capabilities().supports_possible) continue;
+            ASSERT_OK_AND_ASSIGN(Relation possible,
+                                 engine->PossibleAnswer(instance.query));
+            EXPECT_EQ(possible, baseline_possible)
+                << AnswerDiff(*instance.db, name, possible, "baseline",
+                              baseline_possible);
+          }
         }
       }
     }
@@ -703,18 +746,22 @@ TEST(DifferentialTest, MemoizedAgreesOnAdversarialProfiles) {
       ASSERT_OK_AND_ASSIGN(Relation baseline_answer,
                            baseline.Answer(instance.query));
 
+      // `parallel-exact` runs the skewed worlds at 1, 2, 4 and 8 workers,
+      // each worker with its own table.
       for (const char* name : {"batched-exact", "exact", "parallel-exact"}) {
-        if (std::string(name) == "parallel-exact" &&
-            sweep.profile != InstanceProfile::kSkewed) {
-          continue;
+        const bool threaded = std::string(name) == "parallel-exact";
+        if (threaded && sweep.profile != InstanceProfile::kSkewed) continue;
+        for (int threads : threaded ? std::vector<int>{1, 2, 4, 8}
+                                    : std::vector<int>{1}) {
+          SCOPED_TRACE(std::string(name) + "/" + std::to_string(threads));
+          std::unique_ptr<QueryEngine> engine =
+              MakeEngine(name, instance.db.get(), threads);
+          ASSERT_OK_AND_ASSIGN(Relation answer,
+                               engine->Answer(instance.query));
+          EXPECT_EQ(answer, baseline_answer)
+              << AnswerDiff(*instance.db, name, answer, "no-memo",
+                            baseline_answer);
         }
-        SCOPED_TRACE(name);
-        std::unique_ptr<QueryEngine> engine =
-            MakeEngine(name, instance.db.get(), /*threads=*/8);
-        ASSERT_OK_AND_ASSIGN(Relation answer, engine->Answer(instance.query));
-        EXPECT_EQ(answer, baseline_answer)
-            << AnswerDiff(*instance.db, name, answer, "no-memo",
-                          baseline_answer);
       }
     }
   }

@@ -476,9 +476,16 @@ TEST(ExactSweepOrderTest, OneWorkerDecidesAtTheFirstDecidingMapping) {
   RandomFormulaParams q_params;
   q_params.free_vars = {"hx"};
   uint64_t decided_late = 0;
+  uint64_t memo_budget_legs = 0;  // budget legs with the memo on / off
+  uint64_t no_memo_budget_legs = 0;
   for (uint64_t seed = 0; seed < 8; ++seed) {
     auto lb = RandomCwDatabase(seed, db_params);
     Query query = RandomQuery(seed * 31 + 7, lb->mutable_vocab(), q_params);
+    ASSERT_OK_AND_ASSIGN(BoundQuery bound, BoundQuery::Bind(query));
+    // The zero-hit rule: a canonical sweep over a world whose unpinned
+    // constants are all singleton classes runs without the memo.
+    const bool all_singletons =
+        KernelSignatureContext(*lb, bound.constants()).all_singletons();
     const std::vector<Tuple> candidates = AllCandidateTuples(
         query.arity(), static_cast<ConstId>(lb->num_constants()));
     for (ExactSweep sweep :
@@ -514,8 +521,9 @@ TEST(ExactSweepOrderTest, OneWorkerDecidesAtTheFirstDecidingMapping) {
 
           // A budget one short of the deciding mapping runs out after
           // exactly that many checked mappings: with one open candidate,
-          // each checked mapping is one memo lookup. Brute refuses such a
-          // budget up front, below `|C|^|C|`, and checks none.
+          // each checked mapping is one memo lookup, unless the zero-hit
+          // rule turned the memo off. Brute refuses such a budget up
+          // front, below `|C|^|C|`, and checks none.
           ExactOptions tight;
           tight.max_mappings = first.position - 1;
           ExactEvaluator short_budget(lb.get(), tight, sweep);
@@ -525,8 +533,10 @@ TEST(ExactSweepOrderTest, OneWorkerDecidesAtTheFirstDecidingMapping) {
           EXPECT_EQ(exhausted.status().code(),
                     StatusCode::kResourceExhausted);
           const KernelMemoCounters& memo = short_budget.last_memo_counters();
+          const bool memo_on = !brute && !all_singletons;
           EXPECT_EQ(memo.row_hits + memo.row_misses,
-                    brute ? 0 : tight.max_mappings);
+                    memo_on ? tight.max_mappings : 0);
+          if (!brute) ++(memo_on ? memo_budget_legs : no_memo_budget_legs);
           // Only mappings that passed the budget gate are reported.
           EXPECT_EQ(short_budget.last_mappings_examined(),
                     brute ? 0 : tight.max_mappings);
@@ -548,8 +558,11 @@ TEST(ExactSweepOrderTest, OneWorkerDecidesAtTheFirstDecidingMapping) {
       }
     }
   }
-  // The corpus must exercise decisions past the first mapping.
+  // The corpus must exercise decisions past the first mapping, and both
+  // sides of the zero-hit rule.
   EXPECT_GT(decided_late, 0u);
+  EXPECT_GT(memo_budget_legs, 0u);
+  EXPECT_GT(no_memo_budget_legs, 0u);
 }
 
 TEST(SaturatingPowerTest, ComputesExactIntegerPowers) {

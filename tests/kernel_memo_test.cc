@@ -1,4 +1,4 @@
-// Unit tests for the kernel-class signature machinery and the concurrent
+// Unit tests for the kernel-class signature machinery and the per-worker
 // verdict table (src/lqdb/eval/kernel_memo.h). The differential suite pins
 // memo-on ≡ memo-off end to end; these tests pin the *reasons* it is sound,
 // in particular the counterexample that rules out the naive
@@ -7,12 +7,12 @@
 
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/cwdb/mapping.h"
+#include "lqdb/eval/bound_query.h"
 #include "lqdb/exact/exact.h"
 #include "lqdb/gen/scenario.h"
 #include "lqdb/logic/parser.h"
@@ -174,99 +174,137 @@ TEST(KernelMemo, SaturatesAtMaxEntries) {
   EXPECT_EQ(stored, 4);
 }
 
-// Concurrent readers and writers over a small key space; runs under the CI
-// TSan job. Verdicts are a function of the key, so any interleaving must
-// read either "absent" or the one correct verdict.
-TEST(KernelMemo, ConcurrentLookupsAndInsertsAgree) {
-  KernelMemo memo(/*enabled=*/true);
-  const uint32_t sig = memo.InternSignature("sig");
-  constexpr int kThreads = 4;
-  constexpr Value kKeys = 64;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&memo, sig, t]() {
-      for (int round = 0; round < 200; ++round) {
-        for (Value v = 0; v < kKeys; ++v) {
-          const Value row[2] = {v, static_cast<Value>(v + 1)};
-          const int got = memo.LookupRow(sig, row, 2);
-          const int want = (v % 2 == 0) ? 1 : 0;
-          if (got != -1 && got != want) {
-            ADD_FAILURE() << "key " << v << " read verdict " << got;
-            return;
-          }
-          if ((round + t) % 3 == 0) {
-            memo.InsertRow(sig, row, 2, v % 2 == 0);
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (Value v = 0; v < kKeys; ++v) {
-    const Value row[2] = {v, static_cast<Value>(v + 1)};
-    EXPECT_EQ(memo.LookupRow(sig, row, 2), (v % 2 == 0) ? 1 : 0);
-  }
-}
-
-// A sweep sizes its table from the candidate count: 34 candidates (the
-// unary-head lqbench worlds) keep the minimum table, the 1,156 candidates
-// of the E10 large binary-head chain get 2^19 buckets (about two rows per
-// chain instead of sixty), and the cap is the entry cap.
-TEST(KernelMemo, BucketCountFollowsTheCandidateCount) {
-  EXPECT_EQ(KernelMemo::BucketsFor(0), KernelMemo::kMinBuckets);
-  EXPECT_EQ(KernelMemo::BucketsFor(34), KernelMemo::kMinBuckets);
-  EXPECT_EQ(KernelMemo::BucketsFor(1156), size_t{1} << 19);
-  EXPECT_EQ(KernelMemo::BucketsFor(size_t{1} << 40),
-            KernelMemo::kDefaultMaxEntries);
-  EXPECT_EQ(KernelMemo(true, KernelMemo::kDefaultMaxEntries, 3000)
-                .num_buckets(),
-            size_t{4096});
-  EXPECT_EQ(KernelMemo(false, KernelMemo::kDefaultMaxEntries, 3000)
-                .num_buckets(),
-            size_t{1});
-
-  // The bucket count changes chain lengths, never a verdict.
-  KernelMemo small(true, KernelMemo::kDefaultMaxEntries, 1);
-  KernelMemo large(true, KernelMemo::kDefaultMaxEntries,
-                   KernelMemo::BucketsFor(1156));
-  const uint32_t sig = small.InternSignature("sig");
-  ASSERT_EQ(large.InternSignature("sig"), sig);
-  for (Value v = 0; v < 500; ++v) {
-    const Value row[2] = {v, static_cast<Value>(v * 7 % 13)};
-    if (v % 3 != 0) {
-      small.InsertRow(sig, row, 2, v % 2 == 0);
-      large.InsertRow(sig, row, 2, v % 2 == 0);
+// A table grown far past its first index (64 slots) still finds every
+// row it recorded, and only those; a capped table records exactly its cap.
+TEST(KernelMemo, GrownTableFindsEveryRowAndRespectsTheCap) {
+  constexpr Value kRows = 5000;
+  KernelMemo grown(/*enabled=*/true);
+  KernelMemo capped(/*enabled=*/true, /*max_entries=*/1000);
+  KernelMemo off(/*enabled=*/false);
+  for (KernelMemo* memo : {&grown, &capped, &off}) {
+    const uint32_t a = memo->InternSignature("sig-a");
+    const uint32_t b = memo->InternSignature("sig-b");
+    for (Value v = 0; v < kRows; ++v) {
+      const Value row[2] = {v % 71, v / 71};
+      memo->InsertRow(v % 2 == 0 ? a : b, row, 2, v % 3 == 0);
     }
   }
-  for (Value v = 0; v < 500; ++v) {
-    const Value row[2] = {v, static_cast<Value>(v * 7 % 13)};
-    EXPECT_EQ(small.LookupRow(sig, row, 2), large.LookupRow(sig, row, 2));
-    EXPECT_EQ(large.LookupRow(sig, row, 2),
-              v % 3 == 0 ? -1 : (v % 2 == 0 ? 1 : 0));
-  }
 
-  // End to end: a binary head over 12 constants sweeps 144 candidates, a
-  // table above the minimum; the answers match the memo-off sweep.
+  size_t capped_found = 0;
+  for (Value v = 0; v < kRows; ++v) {
+    const Value row[2] = {v % 71, v / 71};
+    const uint32_t sig = v % 2 == 0 ? 0 : 1;
+    EXPECT_EQ(grown.LookupRow(sig, row, 2), v % 3 == 0 ? 1 : 0) << v;
+    // Under the other signature the row was never recorded.
+    EXPECT_EQ(grown.LookupRow(1 - sig, row, 2), -1) << v;
+    const int verdict = capped.LookupRow(sig, row, 2);
+    if (verdict != -1) {
+      EXPECT_EQ(verdict, v % 3 == 0 ? 1 : 0) << v;
+      ++capped_found;
+    }
+    EXPECT_EQ(off.LookupRow(sig, row, 2), -1) << v;
+  }
+  EXPECT_EQ(capped_found, 1000u);
+  // A row of another arity is another key.
+  const Value one[1] = {0};
+  EXPECT_EQ(grown.LookupRow(0, one, 1), -1);
+}
+
+/// The memo counters of one sweep with the memo on, after checking its
+/// answer against the same sweep with the memo off.
+KernelMemoCounters SweepCounters(CwDatabase* lb, const Query& q,
+                                 ExactSweep sweep, int threads = 1) {
+  ExactOptions off;
+  off.memo = false;
+  ExactEvaluator memo_on(lb, ExactOptions{}, sweep, threads);
+  ExactEvaluator memo_off(lb, off, sweep, threads);
+  Result<Relation> with_memo = memo_on.Answer(q);
+  Result<Relation> without_memo = memo_off.Answer(q);
+  EXPECT_TRUE(with_memo.ok() && without_memo.ok());
+  if (with_memo.ok() && without_memo.ok()) {
+    EXPECT_EQ(*with_memo, *without_memo);
+  }
+  EXPECT_EQ(memo_off.last_memo_counters().row_misses, 0u);
+  return memo_on.last_memo_counters();
+}
+
+bool AllSingletons(const CwDatabase& lb, const Query& q) {
+  Result<BoundQuery> bound = BoundQuery::Bind(q);
+  EXPECT_TRUE(bound.ok());
+  return KernelSignatureContext(lb, bound->constants()).all_singletons();
+}
+
+// The zero-hit rule on the binary-head chain over 12 constants: a world
+// whose constants are all singleton classes sweeps without the memo; the
+// same world with two spare constants (which share a class: they appear in
+// no fact) sweeps with it. Answers match the memo-off sweep either way.
+TEST(KernelMemo, SweepTrafficFollowsTheZeroHitRule) {
   ScenarioParams params;
   params.num_known = 10;
   params.facts_per_relation = 24;
-  std::unique_ptr<CwDatabase> lb = MakeScenario(/*seed=*/3, params);
-  ASSERT_GT(KernelMemo::BucketsFor(lb->num_constants() * lb->num_constants()),
-            KernelMemo::kMinBuckets);
-  ASSERT_OK_AND_ASSIGN(
-      Query q, ParseQuery(lb->mutable_vocab(),
-                          "(x, w) . exists y. exists z. R0(x, y) & R1(y, z) "
-                          "& R0(z, w)"));
-  ExactOptions on;
-  ExactOptions off;
-  off.memo = false;
-  ExactEvaluator memo_on(lb.get(), on);
-  ExactEvaluator memo_off(lb.get(), off);
-  ASSERT_OK_AND_ASSIGN(Relation with_memo, memo_on.Answer(q));
-  ASSERT_OK_AND_ASSIGN(Relation without_memo, memo_off.Answer(q));
-  EXPECT_EQ(with_memo, without_memo);
-  EXPECT_GT(memo_on.last_memo_counters().row_misses, 0u);
+  const std::string chain =
+      "(x, w) . exists y. exists z. R0(x, y) & R1(y, z) & R0(z, w)";
+  for (bool spares : {false, true}) {
+    SCOPED_TRACE(spares ? "with spare constants" : "scenario world");
+    std::unique_ptr<CwDatabase> lb = MakeScenario(/*seed=*/3, params);
+    if (spares) {
+      lb->AddKnownConstant("spare0");
+      lb->AddKnownConstant("spare1");
+    }
+    ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(lb->mutable_vocab(), chain));
+    ASSERT_EQ(AllSingletons(*lb, q), !spares);
+    for (ExactSweep sweep : {ExactSweep::kExact, ExactSweep::kBatched}) {
+      for (int threads : {1, 4}) {
+        const KernelMemoCounters memo =
+            SweepCounters(lb.get(), q, sweep, threads);
+        if (spares) {
+          EXPECT_GT(memo.row_misses, 0u);
+          EXPECT_GT(memo.signatures, 0u);
+        } else {
+          EXPECT_EQ(memo.row_hits + memo.row_misses, 0u);
+          EXPECT_EQ(memo.signatures, 0u);
+        }
+      }
+    }
+  }
+}
+
+// The E10 large world (34 constants, 34 singleton classes): `exact` makes
+// no memo traffic at all, serial or parallel, and answers as without it.
+TEST(KernelMemo, LargeScenarioWorldSweepsWithoutTheMemo) {
+  ScenarioParams params;
+  params.num_known = 32;
+  params.num_unknown = 2;
+  params.facts_per_relation = 256;
+  std::unique_ptr<CwDatabase> lb = MakeScenario(/*seed=*/7, params);
+  ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(lb->mutable_vocab(),
+                                           "(x) . forall y. R0(x, y) -> "
+                                           "P0(y)"));
+  ASSERT_TRUE(AllSingletons(*lb, q));
+  for (int threads : {1, 4}) {
+    const KernelMemoCounters memo =
+        SweepCounters(lb.get(), q, ExactSweep::kExact, threads);
+    EXPECT_EQ(memo.row_hits + memo.row_misses + memo.images_skipped +
+                  memo.signatures,
+              0u);
+  }
+}
+
+// The rule is a property of the canonical sweep: `brute` visits every
+// mapping of a partition, so on an all-singleton world it still hits.
+TEST(KernelMemo, BruteStillHitsOnAnAllSingletonWorld) {
+  CwDatabase lb;
+  const ConstId c = lb.AddKnownConstant("c");
+  const ConstId d = lb.AddKnownConstant("d");
+  lb.AddUnknownConstant("u");
+  ASSERT_OK_AND_ASSIGN(PredId p, lb.AddPredicate("P", 1));
+  ASSERT_OK_AND_ASSIGN(PredId r, lb.AddPredicate("R", 2));
+  ASSERT_OK(lb.AddFact(p, Tuple{c}));
+  ASSERT_OK(lb.AddFact(r, Tuple{c, d}));
+  ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(lb.mutable_vocab(), "(x) . P(x)"));
+  ASSERT_TRUE(AllSingletons(lb, q));
+  EXPECT_GT(SweepCounters(&lb, q, ExactSweep::kBrute).row_hits, 0u);
+  EXPECT_EQ(SweepCounters(&lb, q, ExactSweep::kExact).row_misses, 0u);
 }
 
 TEST(KernelMemo, DisabledTableIsInert) {

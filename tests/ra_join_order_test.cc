@@ -15,9 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "lqdb/exact/exact.h"
+#include "lqdb/gen/scenario.h"
 #include "lqdb/logic/builder.h"
 #include "lqdb/logic/parser.h"
 #include "lqdb/ra/compiler.h"
@@ -266,8 +269,11 @@ size_t WidestNode(const PlanPtr& plan) {
 /// Required-columns pushdown on the two-hop chain, under join-heavy-like
 /// statistics (34 constants, a 229-row R, a 34-row P): z is projected away
 /// right after its last join, so no node carries all of [x, y, z] and the
-/// plan is exactly the one the ∃-scoped rewrite compiles to,
-/// `π_x(R(x,y) ⋈ π_y(P(z) ⋈ R(y,z)))`.
+/// plan is the one the ∃-scoped rewrite compiles to,
+/// `π_x(R(x,y) ⋈ π_y(P(z) ⋈ R(y,z)))`, up to the order of the top join's
+/// operands: the rewrite's join order sees π_y, estimated at most 34 rows
+/// (the domain) against R's 229, and puts it first, while the chain's DP
+/// orders the three scans before the pass inserts π_y.
 TEST_F(RaJoinOrderTest, TwoHopChainDropsEachBoundColumnAtItsLastJoin) {
   RaCardinalities stats;
   stats.domain_size = 34.0;
@@ -280,7 +286,16 @@ TEST_F(RaJoinOrderTest, TwoHopChainDropsEachBoundColumnAtItsLastJoin) {
   RaCompiler compiler(&vocab_, stats);
   ASSERT_OK_AND_ASSIGN(PlanPtr plan, compiler.Compile(chain));
   ASSERT_OK_AND_ASSIGN(PlanPtr scoped_plan, compiler.Compile(scoped));
-  EXPECT_EQ(plan->ToString(vocab_), scoped_plan->ToString(vocab_));
+  const std::string inner =
+      "    Project -> [y]\n"
+      "      Join -> [z, y]\n"
+      "        Scan P(z) -> [z]\n"
+      "        Scan R(y, z) -> [y, z]\n";
+  const std::string outer = "    Scan R(x, y) -> [x, y]\n";
+  EXPECT_EQ(plan->ToString(vocab_),
+            "Project -> [x]\n  Join -> [x, y]\n" + outer + inner);
+  EXPECT_EQ(scoped_plan->ToString(vocab_),
+            "Project -> [x]\n  Join -> [y, x]\n" + inner + outer);
 
   const VarId y = vocab_.AddVariable("y");
   ASSERT_EQ(plan->kind(), PlanKind::kProject);
@@ -313,6 +328,52 @@ TEST_F(RaJoinOrderTest, SemijoinReductionIsIdentityOnBooleanQueries) {
   ASSERT_OK_AND_ASSIGN(ReducedPlan red, SemijoinReduce(plan));
   EXPECT_EQ(red.param, nullptr);
   EXPECT_EQ(red.plan, plan);
+}
+
+/// A projection holds at most every tuple over the domain. On the E10
+/// large world (34 constants, 229 R0 facts) the two-hop chain projects
+/// `R0(y, z) ⋈ P0(z)` to `[y]`: the child is estimated above 34 rows, the
+/// one-column projection at most 34.
+TEST(RaEstimateTest, ProjectionIsCappedByTheDomain) {
+  ScenarioParams params;
+  params.num_known = 32;
+  params.num_unknown = 2;
+  params.facts_per_relation = 256;
+  std::unique_ptr<CwDatabase> lb = MakeScenario(/*seed=*/7, params);
+  ASSERT_OK_AND_ASSIGN(
+      Query chain,
+      ParseQuery(lb->mutable_vocab(),
+                 "(x) . exists y. exists z. R0(x, y) & R0(y, z) & P0(z)"));
+  const RaCardinalities stats = JoinStatsFor(*lb, /*dp_join_cap=*/10);
+  ASSERT_EQ(stats.domain_size, 34.0);
+  RaCompiler compiler(&lb->vocab(), stats);
+  ASSERT_OK_AND_ASSIGN(PlanPtr plan, compiler.Compile(chain));
+
+  std::vector<PlanPtr> projections;
+  std::vector<PlanPtr> stack = {plan};
+  while (!stack.empty()) {
+    PlanPtr node = stack.back();
+    stack.pop_back();
+    if (node->kind() == PlanKind::kProject && node->schema().size() == 1 &&
+        node != plan) {
+      projections.push_back(node);
+    }
+    for (const PlanPtr& c : node->children()) stack.push_back(c);
+  }
+  ASSERT_FALSE(projections.empty()) << plan->ToString(lb->vocab());
+  bool capped = false;
+  for (const PlanPtr& p : projections) {
+    EXPECT_LE(compiler.EstimatePlan(p), 34.0) << compiler.AnnotatePlan(plan);
+    capped |= compiler.EstimatePlan(p->child()) > 34.0;
+  }
+  EXPECT_TRUE(capped) << compiler.AnnotatePlan(plan);
+  // Arity 0 holds at most the one empty tuple.
+  ASSERT_OK_AND_ASSIGN(
+      Query boolean,
+      ParseQuery(lb->mutable_vocab(), "() . exists x. exists y. R0(x, y)"));
+  ASSERT_OK_AND_ASSIGN(PlanPtr boolean_plan, compiler.Compile(boolean));
+  EXPECT_LE(compiler.EstimatePlan(boolean_plan), 1.0)
+      << compiler.AnnotatePlan(boolean_plan);
 }
 
 }  // namespace

@@ -462,19 +462,32 @@ TEST(ResultCacheTest, BudgetOptionsAreCacheKeyed) {
 }
 
 // Kernel-memo counters flow from the engines through the trace into the
-// service-wide stats.
+// service-wide stats. SlowDb's constants are all singleton classes, so the
+// zero-hit rule keeps the memo off there; two spare constants (in no fact,
+// hence one shared class) turn it on.
 TEST(ServiceTest, MemoCountersSurfaceInStats) {
-  auto lb = SlowDb();
-  Service service(lb.get());
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> session,
-                       service.OpenSession());
-  ASSERT_OK_AND_ASSIGN(Relation answer, session->Query("(x) . P0(x)"));
-  (void)answer;
-  const KernelMemoCounters& memo = session->last_trace().memo;
-  EXPECT_GT(memo.row_hits + memo.row_misses, 0u);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.memo_row_hits, memo.row_hits);
-  EXPECT_EQ(stats.memo_row_misses, memo.row_misses);
+  for (bool spares : {false, true}) {
+    SCOPED_TRACE(spares ? "with spare constants" : "SlowDb");
+    auto lb = SlowDb();
+    if (spares) {
+      lb->AddKnownConstant("spare0");
+      lb->AddKnownConstant("spare1");
+    }
+    Service service(lb.get());
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> session,
+                         service.OpenSession());
+    ASSERT_OK_AND_ASSIGN(Relation answer, session->Query("(x) . P0(x)"));
+    (void)answer;
+    const KernelMemoCounters& memo = session->last_trace().memo;
+    if (spares) {
+      EXPECT_GT(memo.row_hits + memo.row_misses, 0u);
+    } else {
+      EXPECT_EQ(memo.row_hits + memo.row_misses, 0u);
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.memo_row_hits, memo.row_hits);
+    EXPECT_EQ(stats.memo_row_misses, memo.row_misses);
+  }
 }
 
 }  // namespace
