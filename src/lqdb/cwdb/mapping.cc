@@ -1,5 +1,6 @@
 #include "lqdb/cwdb/mapping.h"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
 
@@ -48,7 +49,12 @@ PhysicalDatabase ApplyMapping(const CwDatabase& lb, const ConstMapping& h) {
 }
 
 MappingImage::MappingImage(const CwDatabase& lb)
-    : lb_(lb), db_(&lb.vocab()) {}
+    : MappingImage(lb, lb.PredicatesWithFacts()) {}
+
+MappingImage::MappingImage(const CwDatabase& lb, std::vector<PredId> reads)
+    : lb_(lb), db_(&lb.vocab()), reads_(std::move(reads)) {
+  assert(std::is_sorted(reads_.begin(), reads_.end()));
+}
 
 Status MappingImage::Build(const ConstMapping& h) {
   const ConstId n = static_cast<ConstId>(h.size());
@@ -86,6 +92,7 @@ Status MappingImage::Build(const ConstMapping& h) {
   if (!split_) {
     split_ = true;
     for (PredId p : lb_.PredicatesWithFacts()) {
+      if (!std::binary_search(reads_.begin(), reads_.end(), p)) continue;
       for (const Tuple& t : lb_.facts(p).tuples()) {
         bool fixed = true;
         for (ConstId c : t) fixed = fixed && lb_.IsKnown(c);

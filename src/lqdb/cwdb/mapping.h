@@ -52,10 +52,19 @@ void ApplyMappingInto(const CwDatabase& lb, const ConstMapping& h,
 /// Labeling by least member alone would not fix the known constants: a
 /// world loaded from the text format gives its unknowns the lowest ids.
 ///
+/// A builder made for a *read set* holds only the relations of those
+/// predicates: the Theorem 1 sweep passes the swept query's
+/// `BoundQuery::predicates()`, since no other relation can change its
+/// verdicts. An image of a query that reads no relation is then just `hr`
+/// and the domain `h(C)`.
+///
 /// `lb` must outlive the builder and must not change while it is in use.
 class MappingImage {
  public:
+  /// Builds every relation of the image.
   explicit MappingImage(const CwDatabase& lb);
+  /// Builds only the relations of `reads`, a sorted list of predicates.
+  MappingImage(const CwDatabase& lb, std::vector<PredId> reads);
 
   MappingImage(const MappingImage&) = delete;
   MappingImage& operator=(const MappingImage&) = delete;
@@ -73,6 +82,7 @@ class MappingImage {
  private:
   const CwDatabase& lb_;
   PhysicalDatabase db_;
+  std::vector<PredId> reads_;  // sorted
   ConstMapping hr_;
   std::vector<ConstId> label_;  // per value of h: its block's label
   bool split_ = false;

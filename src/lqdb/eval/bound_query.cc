@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "lqdb/logic/classify.h"
 #include "lqdb/logic/formula.h"
 #include "lqdb/ra/compiler.h"
 #include "lqdb/ra/validate.h"
@@ -20,6 +21,29 @@ void CollectSoPredicates(const FormulaPtr& f, std::set<PredId>* out) {
 void CollectAtomPredicates(const FormulaPtr& f, std::set<PredId>* out) {
   if (f->kind() == FormulaKind::kAtom) out->insert(f->pred());
   for (const auto& c : f->children()) CollectAtomPredicates(c, out);
+}
+
+/// Debug builds statically validate every plan shape an engine is about to
+/// execute; a finding is a compiler bug, reported as `Internal`. The
+/// differential suite additionally validates every plan of its instance
+/// pool in all build modes.
+Status ValidateInDebug(const Vocabulary& vocab, const PlanPtr& plan,
+                       const Plan* param) {
+#ifndef NDEBUG
+  PlanValidateOptions vopts;
+  vopts.vocab = &vocab;
+  vopts.param = param;
+  const Status verdict = ValidatePlan(plan, vopts);
+  if (!verdict.ok()) {
+    return Status::Internal("compiled plan failed static validation: " +
+                            verdict.message());
+  }
+#else
+  (void)vocab;
+  (void)plan;
+  (void)param;
+#endif
+  return Status::OK();
 }
 
 }  // namespace
@@ -47,54 +71,80 @@ Result<BoundQuery> BoundQuery::Bind(const Query& query) {
   return bound;
 }
 
+ReducedPlan ReduceRaPlan(const PlanPtr& plan) {
+  Result<ReducedPlan> reduced = SemijoinReduce(plan);
+  if (reduced.ok()) return std::move(reduced).value();
+  ReducedPlan unreduced;
+  unreduced.plan = plan;  // a null param: the sweep runs the plan as is
+  return unreduced;
+}
+
 Status BoundQuery::CompileRaPlan(const Vocabulary& vocab,
                                  const RaCardinalities* stats) {
   if (ra_attempted_) return ra_status_;
   ra_attempted_ = true;
   RaCompiler compiler(&vocab, stats == nullptr ? RaCardinalities() : *stats);
-  Result<PlanPtr> plan = compiler.Compile(*query_);
-  if (!plan.ok()) {
-    ra_status_ = plan.status();
-    return ra_status_;
-  }
-  ReducedPlan reduced;
-  Result<ReducedPlan> red = SemijoinReduce(*plan);
-  if (red.ok()) {
-    reduced = std::move(red).value();
+  Result<RaCompilation> compiled = Compile(vocab, stats, &compiler);
+  if (compiled.ok()) {
+    ra_ = std::move(compiled).value();
+    ra_status_ = Status::OK();
   } else {
-    reduced.plan = *plan;  // null param → the sweep runs the plan unreduced
+    ra_status_ = compiled.status();
   }
-#ifndef NDEBUG
-  // Debug builds statically validate every plan shape the Theorem 1 sweep
-  // is about to execute; the differential suite additionally validates
-  // every plan of its instance pool in all build modes.
-  PlanValidateOptions vopts;
-  vopts.vocab = &vocab;
-  Status verdict = ValidatePlan(*plan, vopts);
-  if (verdict.ok()) {
-    vopts.param = reduced.param.get();
-    verdict = ValidatePlan(reduced.plan, vopts);
-  }
-  if (!verdict.ok()) {
-    ra_status_ = Status::Internal("compiled plan failed static validation: " +
-                                  verdict.message());
-    return ra_status_;
-  }
-#endif
-  set_ra_plan(std::move(plan).value(), std::move(reduced));
   return ra_status_;
 }
 
-void BoundQuery::set_ra_plan(PlanPtr plan, ReducedPlan reduced) {
-  ra_plan_ = std::move(plan);
-  ra_reduced_ = std::move(reduced);
+Result<RaCompilation> BoundQuery::Compile(const Vocabulary& vocab,
+                                          const RaCardinalities* stats,
+                                          RaCompiler* compiler) const {
+  RaCompilation out;
+  const ConjunctSplit split = SplitPositiveConjuncts(query_->body());
+  if (split.positive == nullptr) {
+    LQDB_ASSIGN_OR_RETURN(out.plan, compiler->Compile(*query_));
+    out.reduced = ReduceRaPlan(out.plan);
+    LQDB_RETURN_IF_ERROR(ValidateInDebug(vocab, out.plan, nullptr));
+    LQDB_RETURN_IF_ERROR(ValidateInDebug(vocab, out.reduced.plan,
+                                         out.reduced.param.get()));
+    return out;
+  }
+  auto route = std::make_shared<PositiveRoute>();
+  if (split.residual == nullptr) {
+    LQDB_ASSIGN_OR_RETURN(out.plan, compiler->Compile(*query_));
+    route->positive = out.plan;
+  } else {
+    // Both parts keep the full head, so the positive part's rows are
+    // candidates of the residual as they stand, and the join of the two
+    // plans (same schema) is the plan of the whole body.
+    LQDB_ASSIGN_OR_RETURN(const Query positive,
+                          Query::Make(head(), split.positive));
+    LQDB_ASSIGN_OR_RETURN(route->positive, compiler->Compile(positive));
+    LQDB_RETURN_IF_ERROR(ValidateInDebug(vocab, route->positive, nullptr));
+    LQDB_ASSIGN_OR_RETURN(Query residual, Query::Make(head(), split.residual));
+    route->residual_query.emplace(std::move(residual));
+    LQDB_ASSIGN_OR_RETURN(BoundQuery bound, Bind(*route->residual_query));
+    route->residual.emplace(std::move(bound));
+    LQDB_RETURN_IF_ERROR(route->residual->CompileRaPlan(vocab, stats));
+    LQDB_ASSIGN_OR_RETURN(
+        out.plan, Plan::Join(route->positive, route->residual->ra_plan()));
+  }
+  LQDB_RETURN_IF_ERROR(ValidateInDebug(vocab, out.plan, nullptr));
+#ifndef NDEBUG
+  const ReducedPlan reduced = ReduceRaPlan(out.plan);
+  LQDB_RETURN_IF_ERROR(
+      ValidateInDebug(vocab, reduced.plan, reduced.param.get()));
+#endif
+  out.route = std::move(route);
+  return out;
+}
+
+void BoundQuery::set_ra_compilation(RaCompilation compilation) {
+  ra_ = std::move(compilation);
   ra_attempted_ = true;
   ra_status_ = Status::OK();
 }
 
 void BoundQuery::set_ra_uncompilable(Status why) {
-  ra_plan_ = nullptr;
-  ra_reduced_ = {};
+  ra_ = {};
   ra_attempted_ = true;
   ra_status_ = std::move(why);
 }

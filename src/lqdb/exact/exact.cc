@@ -1,5 +1,6 @@
 #include "lqdb/exact/exact.h"
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 
@@ -81,7 +82,7 @@ class ImageCheck {
              const KernelSignatureContext* ctx, size_t memo_entries)
       : bound_(bound),
         plan_(plan),
-        image_(lb),
+        image_(lb, bound.predicates()),
         eval_(&image_.db(), eval),
         exec_(&image_.db()),
         ctx_(ctx),
@@ -214,13 +215,15 @@ std::string CacheKey(const Vocabulary& vocab, const Query& query) {
 /// empty with no worker mid-chunk, or when the stop flag rises.
 class ExactEvaluator::Walk {
  public:
+  /// `spent` mappings of the budget were examined before the walk.
   Walk(const CwDatabase* lb, ThreadPool* pool, bool brute,
-       uint64_t max_mappings)
+       uint64_t max_mappings, uint64_t spent)
       : lb_(lb),
         pool_(pool),
         brute_(brute),
         max_mappings_(max_mappings),
-        worker_ranges_(pool == nullptr ? 1 : pool->num_threads(), 0) {
+        worker_ranges_(pool == nullptr ? 1 : pool->num_threads(), 0),
+        examined_(spent) {
     if (pool != nullptr) {
       queue_ = SplitCanonicalMappingSpace(
           *lb, worker_ranges_.size() * kRangesPerThread);
@@ -345,7 +348,7 @@ class ExactEvaluator::Walk {
   /// guard needed (readers wait for the fan-out's join).
   std::vector<uint64_t> worker_ranges_;
   std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> examined_{0};
+  std::atomic<uint64_t> examined_;
   Mutex mu_;
   Status error_ GUARDED_BY(mu_);
 };
@@ -376,10 +379,9 @@ Result<BoundQuery> ExactEvaluator::Prepare(const Query& query) {
     // A plan that failed validation is a compiler bug: report it and keep
     // it out of the cache.
     if (bound.ra_status().code() == StatusCode::kInternal) return bound;
-    plan_cache_.emplace(key, std::make_pair(bound.ra_plan(),
-                                            bound.ra_reduced()));
-  } else if (it->second.first != nullptr) {
-    bound.set_ra_plan(it->second.first, it->second.second);
+    plan_cache_.emplace(key, bound.ra_compilation());
+  } else if (it->second.plan != nullptr) {
+    bound.set_ra_compilation(it->second);
   } else {
     bound.set_ra_uncompilable(
         Status::Unimplemented("query is cached as uncompilable"));
@@ -389,11 +391,17 @@ Result<BoundQuery> ExactEvaluator::Prepare(const Query& query) {
 
 Status ExactEvaluator::Sweep(const BoundQuery& bound,
                              const std::vector<Tuple>& candidates,
-                             bool possible, std::vector<char>* decided,
+                             bool possible, uint64_t spent,
+                             std::vector<char>* decided,
                              ConstMapping* decisive) {
   if (bound.ra_status().code() == StatusCode::kInternal) {
     return bound.ra_status();
   }
+  last_mappings_ = spent;
+  last_memo_ = {};
+  last_worker_ranges_.assign(threads(), 0);
+  decided->clear();
+  if (candidates.empty()) return Status::OK();  // nothing to decide
   if (sweep_ == ExactSweep::kBrute) {
     const uint64_t n = lb_->num_constants();
     if (SaturatingPower(n, n) > options_.max_mappings) {
@@ -405,6 +413,11 @@ Status ExactEvaluator::Sweep(const BoundQuery& bound,
       sweep_ != ExactSweep::kBatched && bound.ra_plan() != nullptr
           ? &bound.ra_reduced()
           : nullptr;
+  ReducedPlan reduced;
+  if (plan != nullptr && plan->plan == nullptr) {  // a route's whole body
+    reduced = ReduceRaPlan(bound.ra_plan());
+    plan = &reduced;
+  }
   last_used_ra_ = plan != nullptr;
   // The kernel memo: one verdict table per worker, living for this call
   // only — cross-call reuse is the service layer's result cache, which also
@@ -437,7 +450,7 @@ Status ExactEvaluator::Sweep(const BoundQuery& bound,
     std::iota(snapshots[w].begin(), snapshots[w].end(), 0u);
   }
   Walk walk(lb_, pool_.get(), sweep_ == ExactSweep::kBrute,
-            options_.max_mappings);
+            options_.max_mappings, spent);
   walk.Run([&](int w, const ConstMapping& h) {
     std::vector<uint32_t>& snapshot = snapshots[w];
     size_t kept = 0;
@@ -476,7 +489,6 @@ Status ExactEvaluator::Sweep(const BoundQuery& bound,
   });
   last_mappings_ = walk.examined();
   last_worker_ranges_ = walk.worker_ranges();
-  last_memo_ = {};
   for (const auto& check : checks) last_memo_ += check->memo_counters();
   decided->resize(n);
   for (size_t i = 0; i < n; ++i) {
@@ -486,6 +498,40 @@ Status ExactEvaluator::Sweep(const BoundQuery& bound,
   // wins over a budget error raised by a worker still mid-chunk when the
   // last candidate fell.
   return remaining.load() == 0 ? Status::OK() : walk.error();
+}
+
+const PositiveRoute* ExactEvaluator::RouteFor(const BoundQuery& bound,
+                                              bool possible) const {
+  // `batched-exact` and `brute` are the unconditional references. Possible
+  // answers would need the dual route (not certain for a positive ¬Q).
+  if (possible || sweep_ != ExactSweep::kExact) return nullptr;
+  return bound.route().get();
+}
+
+Status ExactEvaluator::AnswerPositive(const BoundQuery& bound,
+                                      const PositiveRoute& route,
+                                      std::vector<Tuple>* rows) {
+  last_mappings_ = 0;
+  last_memo_ = {};
+  last_worker_ranges_.assign(threads(), 0);
+  last_used_ra_ = true;
+  if (options_.max_mappings == 0) return BudgetExceeded(0);
+  // Ph₁ is the image of the identity, which respects every uniqueness
+  // axiom; it counts as the call's first mapping.
+  last_mappings_ = 1;
+  MappingImage ph1(*lb_, bound.predicates());
+  LQDB_RETURN_IF_ERROR(ph1.Build(IdentityMapping(lb_->num_constants())));
+  RaExecutor exec(&ph1.db());
+  LQDB_ASSIGN_OR_RETURN(const RaTableView* table,
+                        exec.ExecuteView(route.positive));
+  const size_t arity = bound.arity();
+  rows->clear();
+  rows->reserve(table->rows.size());
+  for (size_t i = 0; i < table->rows.size(); ++i) {
+    const Value* row = table->rows.row(i);
+    rows->emplace_back(row, row + arity);
+  }
+  return Status::OK();
 }
 
 Result<Relation> ExactEvaluator::AnswerIn(const Query& query,
@@ -498,13 +544,28 @@ Result<Relation> ExactEvaluator::AnswerIn(const Query& query,
     LQDB_ASSIGN_OR_RETURN(prepared, Prepare(query));
     bound = &*prepared;
   }
-  const std::vector<Tuple> candidates = AllCandidateTuples(
-      bound->arity(), static_cast<ConstId>(lb_->num_constants()));
+  Relation answer(static_cast<int>(bound->arity()));
+  std::vector<Tuple> candidates;
+  const BoundQuery* swept = bound;
+  uint64_t spent = 0;
+  if (const PositiveRoute* route = RouteFor(*bound, possible)) {
+    // Theorem 13: the positive part's certain answer is its answer on Ph₁,
+    // and those rows are the only candidates left for the residual.
+    LQDB_RETURN_IF_ERROR(AnswerPositive(*bound, *route, &candidates));
+    if (!route->residual) {
+      for (Tuple& t : candidates) answer.Insert(std::move(t));
+      return answer;
+    }
+    swept = &*route->residual;
+    spent = 1;
+  } else {
+    candidates = AllCandidateTuples(
+        bound->arity(), static_cast<ConstId>(lb_->num_constants()));
+  }
   std::vector<char> decided;
   LQDB_RETURN_IF_ERROR(
-      Sweep(*bound, candidates, possible, &decided, nullptr));
+      Sweep(*swept, candidates, possible, spent, &decided, nullptr));
   // Certain answer = never falsified; possible answer = witnessed once.
-  Relation answer(static_cast<int>(bound->arity()));
   for (size_t i = 0; i < candidates.size(); ++i) {
     if ((decided[i] != 0) == possible) answer.Insert(candidates[i]);
   }
@@ -518,9 +579,25 @@ Result<bool> ExactEvaluator::ContainsIn(
   LQDB_RETURN_IF_ERROR(ValidateExactCandidate(*lb_, query, candidate));
   if (decisive != nullptr) decisive->reset();
   LQDB_ASSIGN_OR_RETURN(BoundQuery bound, Prepare(query));
+  const BoundQuery* swept = &bound;
+  uint64_t spent = 0;
+  if (const PositiveRoute* route = RouteFor(bound, possible)) {
+    std::vector<Tuple> rows;
+    LQDB_RETURN_IF_ERROR(AnswerPositive(bound, *route, &rows));
+    if (std::find(rows.begin(), rows.end(), candidate) == rows.end()) {
+      // Ph₁ falsifies a conjunct, so the identity is the counterexample.
+      if (decisive != nullptr) {
+        *decisive = Counterexample{IdentityMapping(lb_->num_constants())};
+      }
+      return false;
+    }
+    if (!route->residual) return true;
+    swept = &*route->residual;
+    spent = 1;
+  }
   std::vector<char> decided;
   ConstMapping h;
-  LQDB_RETURN_IF_ERROR(Sweep(bound, {candidate}, possible, &decided,
+  LQDB_RETURN_IF_ERROR(Sweep(*swept, {candidate}, possible, spent, &decided,
                              decisive != nullptr ? &h : nullptr));
   if (decided[0] && decisive != nullptr) *decisive = Counterexample{h};
   return (decided[0] != 0) == possible;

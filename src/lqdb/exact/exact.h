@@ -26,10 +26,13 @@ struct ExactOptions {
   /// Abort with `ResourceExhausted` after examining this many mappings —
   /// the co-NP enumeration is exponential in the number of unknown values
   /// (Theorem 5), so callers opt into how much work a query may burn; the
-  /// `brute` sweep refuses up front when `|C|^|C|` exceeds it. With more
-  /// than one worker the budget is accounted globally across workers and
-  /// `last_mappings_examined()` never exceeds it; an answer fully decided
-  /// within it is returned even when another worker hit the limit
+  /// `brute` sweep refuses up front when `|C|^|C|` exceeds it. Theorem
+  /// 13's route (see `ExactEvaluator`) counts its run on Ph₁ as the first
+  /// examined mapping, so a positive body needs a budget of one and a
+  /// budget of zero refuses it; the residual's sweep gets the rest. With
+  /// more than one worker the budget is accounted globally across workers
+  /// and `last_mappings_examined()` never exceeds it; an answer fully
+  /// decided within it is returned even when another worker hit the limit
   /// meanwhile (the decision is final and order-independent).
   uint64_t max_mappings = 10'000'000;
   /// Join-order enumeration cap for the compiled RA path (see
@@ -111,6 +114,17 @@ enum class ExactSweep {
 /// decided. `Contains` and `IsPossible` are the one-candidate case; the
 /// deciding mapping is their counterexample or witness.
 ///
+/// Theorem 13's route: in certain mode (`Answer`, `AnswerBound`,
+/// `Contains`) the `kExact` sweep takes the binding's `PositiveRoute` when
+/// it has one. The positive conjuncts' plan runs once on Ph₁, the image of
+/// the identity mapping; by Theorem 13 its rows are exactly their certain
+/// answer, and they become the candidate set. Only the residual conjuncts
+/// are swept over them, and a positive body is answered with no sweep at
+/// all. A `Contains` candidate that fails on Ph₁ gets the identity as its
+/// counterexample. `kBatched` and `kBrute` keep the unconditional sweep as
+/// the references, and possible mode sweeps the whole body (its dual route,
+/// through a positive `¬Q`, is future work).
+///
 /// `ExactSweep` fixes two of the sweep's parameters:
 ///
 ///   - mapping source: one representative per kernel partition
@@ -119,7 +133,9 @@ enum class ExactSweep {
 ///     plan, executed by `RaExecutor` with the open candidates bound to its
 ///     parameter, or the batched `Evaluator::SatisfiesBatch` — the latter
 ///     for `kBatched` and for queries outside the compilable first-order
-///     fragment (second-order quantification). Both sit behind one kernel
+///     fragment (second-order quantification). Each worker's images hold
+///     only the relations the swept query reads (`MappingImage`'s read
+///     set). Both checkers sit behind one kernel
 ///     memo front end (eval/kernel_memo.h): each worker owns a verdict
 ///     table, and a canonical sweep whose unpinned constants are all
 ///     singleton classes builds none, since no lookup there could hit.
@@ -220,9 +236,18 @@ class ExactEvaluator {
   /// The one Theorem 1 sweep: sets `(*decided)[i]` for every candidate
   /// some mapping decides (see the class comment), and `*decisive` to the
   /// deciding mapping when `candidates` is a single tuple.
+  /// `spent` mappings of the budget were examined before the sweep.
   Status Sweep(const BoundQuery& bound, const std::vector<Tuple>& candidates,
-               bool possible, std::vector<char>* decided,
+               bool possible, uint64_t spent, std::vector<char>* decided,
                ConstMapping* decisive);
+
+  /// Theorem 13's route when this call takes it: certain mode of the
+  /// `kExact` sweep over a binding that carries one; null otherwise.
+  const PositiveRoute* RouteFor(const BoundQuery& bound, bool possible) const;
+  /// Sets `*rows` to the answer of `route.positive` on Ph₁, counting it as
+  /// one examined mapping.
+  Status AnswerPositive(const BoundQuery& bound, const PositiveRoute& route,
+                        std::vector<Tuple>* rows);
 
   const CwDatabase* lb_;
   ExactOptions options_;
@@ -232,8 +257,8 @@ class ExactEvaluator {
   KernelMemoCounters last_memo_;
   bool last_used_ra_ = false;
   std::vector<uint64_t> last_worker_ranges_;
-  /// Query identity → (compiled plan, its reduction); null = uncompilable.
-  std::map<std::string, std::pair<PlanPtr, ReducedPlan>> plan_cache_;
+  /// Query identity → its compilation; a null plan = uncompilable.
+  std::map<std::string, RaCompilation> plan_cache_;
 };
 
 }  // namespace lqdb

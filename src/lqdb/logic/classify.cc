@@ -1,6 +1,7 @@
 #include "lqdb/logic/classify.h"
 
 #include <cassert>
+#include <vector>
 
 namespace lqdb {
 
@@ -56,6 +57,22 @@ bool HasSoQuantifier(const FormulaPtr& f) {
 bool IsPositive(const FormulaPtr& f) { return Positive(f, true); }
 
 bool IsPositive(const Query& query) { return IsPositive(query.body()); }
+
+ConjunctSplit SplitPositiveConjuncts(const FormulaPtr& body) {
+  std::vector<FormulaPtr> conjuncts = {body};
+  if (body->kind() == FormulaKind::kAnd) conjuncts = body->children();
+  std::vector<FormulaPtr> positive;
+  std::vector<FormulaPtr> residual;
+  for (const FormulaPtr& c : conjuncts) {
+    // Second-order quantifiers are left to the sweep: Theorem 13 is about
+    // first-order queries.
+    (IsPositive(c) && IsFirstOrder(c) ? positive : residual).push_back(c);
+  }
+  ConjunctSplit split;
+  if (!positive.empty()) split.positive = Formula::And(std::move(positive));
+  if (!residual.empty()) split.residual = Formula::And(std::move(residual));
+  return split;
+}
 
 PrefixShape ClassifyFoPrefix(const FormulaPtr& f) {
   PrefixShape shape;

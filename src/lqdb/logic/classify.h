@@ -16,6 +16,23 @@ bool IsPositive(const FormulaPtr& f);
 /// True iff the query body is positive.
 bool IsPositive(const Query& query);
 
+/// The split of a body's top-level conjuncts behind the Theorem 13 route of
+/// the exact engine. `positive` conjoins the positive first-order conjuncts:
+/// for them Theorem 13 makes the certain answer `Q(Ph₁(LB))`, one
+/// evaluation. `residual` conjoins the rest, which still needs the Theorem 1
+/// sweep. Certain answers distribute over ∧, so the certain answer of the
+/// body is the intersection of the two parts' certain answers. Either part
+/// is null when no conjunct falls on its side; a body that is not a
+/// conjunction is its own single conjunct.
+struct ConjunctSplit {
+  FormulaPtr positive;
+  FormulaPtr residual;
+};
+
+/// Splits `body` as described at `ConjunctSplit`, keeping each side's
+/// conjuncts in their order in `body`.
+ConjunctSplit SplitPositiveConjuncts(const FormulaPtr& body);
+
 /// Shape of a quantifier prefix.
 struct PrefixShape {
   /// Everything below the analyzed prefix is free of the analyzed kind of

@@ -152,9 +152,10 @@ Result<std::shared_ptr<PreparedQuery>> Service::PrepareInternal(
         entry,
         PreparedQuery::Make(text, engine, options_key, std::move(query)));
     // Compile once at prepare time regardless of engine: the compiled
-    // Theorem 1 sweeps execute the plan's semijoin reduction, and the other
-    // engines ignore it. A failed compile (second order) is cached inside
-    // the binding as "use the batched checker".
+    // Theorem 1 sweeps execute the plan's semijoin reduction or, for a body
+    // with a positive conjunct, Theorem 13's route (both of its sub-plans),
+    // and the other engines ignore them. A failed compile (second order) is
+    // cached inside the binding as "use the batched checker".
     const RaCardinalities stats =
         JoinStatsFor(*db_, engine_options.exact.ra_dp_join_cap);
     Status compile = entry->mutable_bound()->CompileRaPlan(db_->vocab(),

@@ -459,12 +459,13 @@ TEST(DifferentialTest, LargeProfileRaExactAgreesOnAllInstances) {
 }
 
 /// The static-validation dimension: every query of the full differential
-/// corpus — the 298-instance pool plus the skewed and large profiles —
-/// compiles to a plan that passes `ValidatePlan` with zero findings, and
-/// so does its semijoin-reduced form (validated against the reduction's
-/// param node). This is the standing guarantee behind running the
-/// validator on every compiled plan in debug builds: the gate only helps
-/// if the honest compiler output never trips it.
+/// corpus — the 298-instance pool plus the skewed, large and guarded
+/// profiles — compiles to a plan that passes `ValidatePlan` with zero
+/// findings, and so does its semijoin-reduced form (validated against the
+/// reduction's param node), and so do the plans of its Theorem 13 route.
+/// This is the standing guarantee behind running the validator on every
+/// compiled plan in debug builds: the gate only helps if the honest
+/// compiler output never trips it.
 TEST(DifferentialTest, CompiledPlansValidateOnAllInstances) {
   struct Sweep {
     InstanceProfile profile;
@@ -477,13 +478,30 @@ TEST(DifferentialTest, CompiledPlansValidateOnAllInstances) {
       {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
       {InstanceProfile::kExistsChain, 30},
       {InstanceProfile::kSkewed, 20}, {InstanceProfile::kLarge, 6},
+      {InstanceProfile::kGuarded, 40},
   };
   uint64_t instances = 0;
+  uint64_t routes = 0;
   for (const Sweep& sweep : sweeps) {
     for (uint64_t seed = 0; seed < sweep.seeds; ++seed) {
       ++instances;
       DifferentialInstance instance = MakeInstance(seed, sweep.profile);
       SCOPED_TRACE(Describe(instance));
+
+      ASSERT_OK_AND_ASSIGN(BoundQuery bound, BoundQuery::Bind(instance.query));
+      ASSERT_OK(bound.CompileRaPlan(instance.db->vocab()));
+      if (const PositiveRoute* route = bound.route().get()) {
+        ++routes;
+        PlanValidateOptions route_opts;
+        route_opts.vocab = &instance.db->vocab();
+        EXPECT_OK(ValidatePlan(route->positive, route_opts));
+        if (route->residual) {
+          EXPECT_OK(ValidatePlan(route->residual->ra_plan(), route_opts));
+          const ReducedPlan& residual = route->residual->ra_reduced();
+          route_opts.param = residual.param.get();
+          EXPECT_OK(ValidatePlan(residual.plan, route_opts));
+        }
+      }
 
       RaCompiler compiler(&instance.db->vocab());
       ASSERT_OK_AND_ASSIGN(PlanPtr plan, compiler.Compile(instance.query));
@@ -496,7 +514,8 @@ TEST(DifferentialTest, CompiledPlansValidateOnAllInstances) {
       EXPECT_OK(ValidatePlan(reduced.plan, opts));
     }
   }
-  EXPECT_EQ(instances, 324u);
+  EXPECT_EQ(instances, 364u);
+  EXPECT_GT(routes, 0u);
 }
 
 /// The multi-session dimension: K = 8 concurrent service sessions — mixed
@@ -617,7 +636,8 @@ TEST(DifferentialTest, ConcurrentSessionsMatchSequentialReplay) {
 }
 
 /// The (profile, seed count) pairs of the memo dimensions: the same 298
-/// instances the other dimensions sweep.
+/// instances the other dimensions sweep, plus 40 of the guarded profile,
+/// whose bodies split for Theorem 13's route of `exact`.
 struct MemoSweep {
   InstanceProfile profile;
   uint64_t seeds;
@@ -627,7 +647,7 @@ constexpr MemoSweep kMemoSweeps[] = {
     {InstanceProfile::kBinary, 40}, {InstanceProfile::kSmall, 30},
     {InstanceProfile::kBinary, 30}, {InstanceProfile::kFullySpecified, 40},
     {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
-    {InstanceProfile::kExistsChain, 30},
+    {InstanceProfile::kExistsChain, 30}, {InstanceProfile::kGuarded, 40},
 };
 
 /// The zero-hit rule's premise (eval/kernel_memo.h) over the memo corpus:
@@ -667,7 +687,10 @@ TEST(DifferentialTest, AllSingletonContextsGiveDistinctSignatures) {
 /// The memoization dimension: every Theorem 1 registry engine, with the
 /// kernel memo on (the default) and off, must produce answers bit-identical
 /// to the memo-off batched sweep on every instance of `kMemoSweeps`, and
-/// `parallel-exact` at 1, 2, 4 and 8 workers, each with its own table. An
+/// `parallel-exact` at 1, 2, 4 and 8 workers, each with its own table. The
+/// certain answers of `exact` and `parallel-exact` take Theorem 13's route
+/// wherever the body has a positive conjunct, so this is also the check of
+/// the route against `brute` and `batched-exact`, which always sweep. An
 /// unsound signature (one that identifies non-isomorphic images) would
 /// surface here as a wrong reused verdict; see kernel_memo.h for the
 /// counterexample that killed the naive block-size signature. The sweep
@@ -719,7 +742,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
       }
     }
   }
-  EXPECT_EQ(instances, 298u);
+  EXPECT_EQ(instances, 338u);
   EXPECT_GT(total_hits, 0u);
 }
 
@@ -765,6 +788,46 @@ TEST(DifferentialTest, MemoizedAgreesOnAdversarialProfiles) {
       }
     }
   }
+}
+
+/// The guarded profile reaches every route of `exact`'s certain answer: a
+/// positive body answered on Ph₁ alone, in exactly one examined mapping; a
+/// positive part with a swept residual; and no positive part at all. Each
+/// route's answer equals `batched-exact`'s, which always sweeps.
+TEST(DifferentialTest, GuardedProfileTakesEveryRoute) {
+  uint64_t positive = 0;
+  uint64_t mixed = 0;
+  uint64_t residual_only = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    DifferentialInstance instance =
+        MakeInstance(seed, InstanceProfile::kGuarded);
+    SCOPED_TRACE(Describe(instance));
+    ASSERT_OK_AND_ASSIGN(BoundQuery bound, BoundQuery::Bind(instance.query));
+    ASSERT_OK(bound.CompileRaPlan(instance.db->vocab()));
+    const PositiveRoute* route = bound.route().get();
+    const ConjunctSplit split = SplitPositiveConjuncts(instance.query.body());
+    ASSERT_EQ(route != nullptr, split.positive != nullptr);
+    ASSERT_EQ(route != nullptr && !route->residual, split.residual == nullptr);
+
+    ExactEvaluator exact(instance.db.get());
+    ASSERT_OK_AND_ASSIGN(Relation answer, exact.Answer(instance.query));
+    ExactEvaluator batched = Batched(instance.db.get());
+    ASSERT_OK_AND_ASSIGN(Relation reference, batched.Answer(instance.query));
+    EXPECT_EQ(answer, reference)
+        << AnswerDiff(*instance.db, "exact", answer, "batched", reference);
+    if (route == nullptr) {
+      ++residual_only;
+    } else if (!route->residual) {
+      ++positive;
+      EXPECT_EQ(exact.last_mappings_examined(), 1u);
+    } else {
+      ++mixed;
+      EXPECT_GE(exact.last_mappings_examined(), 1u);
+    }
+  }
+  EXPECT_GT(positive, 0u);
+  EXPECT_GT(mixed, 0u);
+  EXPECT_GT(residual_only, 0u);
 }
 
 /// Theorem 1 with every image rebuilt from scratch: each canonical mapping
@@ -825,6 +888,7 @@ TEST(DifferentialTest, RoundTrippedWorldsMatchFullRebuildReference) {
       {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
       {InstanceProfile::kExistsChain, 30},
       {InstanceProfile::kSkewed, 20}, {InstanceProfile::kLarge, 6},
+      {InstanceProfile::kGuarded, 40},
   };
   uint64_t instances = 0;
   uint64_t relabeled = 0;
@@ -872,7 +936,7 @@ TEST(DifferentialTest, RoundTrippedWorldsMatchFullRebuildReference) {
       }
     }
   }
-  EXPECT_EQ(instances, 324u);
+  EXPECT_EQ(instances, 364u);
   EXPECT_GT(relabeled, instances / 2);
 }
 

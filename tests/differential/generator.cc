@@ -6,6 +6,7 @@
 
 #include "lqdb/gen/scenario.h"
 #include "lqdb/io/text_format.h"
+#include "lqdb/logic/builder.h"
 #include "lqdb/logic/classify.h"
 #include "lqdb/logic/parser.h"
 #include "lqdb/logic/query.h"
@@ -73,6 +74,13 @@ RandomDbParams DbParamsFor(InstanceProfile profile) {
       p.num_binary_preds = 2;
       p.num_facts = 8;
       break;
+    case InstanceProfile::kGuarded:
+      p.num_known = 3;
+      p.num_unknown = 2;
+      p.num_unary_preds = 1;
+      p.num_binary_preds = 1;
+      p.num_facts = 8;
+      break;
   }
   return p;
 }
@@ -120,9 +128,57 @@ RandomFormulaParams FormulaParamsFor(InstanceProfile profile) {
       break;
     case InstanceProfile::kLarge:
     case InstanceProfile::kExistsChain:
+    case InstanceProfile::kGuarded:
       break;  // fixed query shapes, not random formulas
   }
   return p;
+}
+
+/// A kGuarded query (see the profile's comment) over the `P0`/`R0` schema.
+Query GuardedQuery(uint64_t seed, uint64_t query_seed, Vocabulary* vocab) {
+  Rng rng(query_seed);
+  FormulaBuilder b(vocab);
+  const std::vector<std::string> head =
+      seed / 5 % 2 == 0 ? std::vector<std::string>{"hx"}
+                        : std::vector<std::string>{"hx", "hy"};
+  const Term x = b.V("hx");
+  const Term last = b.V(head.back());
+  auto constant = [&] {
+    return Term::Constant(
+        static_cast<ConstId>(rng.Below(vocab->num_constants())));
+  };
+  auto guards = [&] {
+    return b.And({b.Neq(x, constant()), b.Neq(x, constant())});
+  };
+  RandomFormulaParams params;
+  params.max_depth = 2;
+  params.free_vars = head;
+  params.allow_negation = false;
+  const FormulaPtr positive = RandomFormula(&rng, vocab, params);
+  FormulaPtr body;
+  switch (seed % 5) {
+    case 0:
+      body = b.And({positive, guards()});
+      break;
+    case 1:
+      body = b.And({positive, b.Not(b.Atom("P0", {x})),
+                    b.Not(b.Atom("R0", {constant(), last}))});
+      break;
+    case 2:
+      body = b.And({positive,
+                    b.Forall("gy", b.Implies(b.Atom("R0", {x, b.V("gy")}),
+                                             b.Atom("P0", {b.V("gy")})))});
+      break;
+    case 3:
+      body = positive;
+      break;
+    default:
+      body = b.And({guards(), b.Not(b.Atom("R0", {x, last}))});
+      break;
+  }
+  std::vector<VarId> head_ids;
+  for (const std::string& v : head) head_ids.push_back(vocab->AddVariable(v));
+  return Query::Make(std::move(head_ids), std::move(body)).value();
 }
 
 }  // namespace
@@ -145,6 +201,8 @@ const char* ProfileName(InstanceProfile profile) {
       return "large";
     case InstanceProfile::kExistsChain:
       return "exists_chain";
+    case InstanceProfile::kGuarded:
+      return "guarded";
   }
   return "unknown";
 }
@@ -172,6 +230,11 @@ DifferentialInstance MakeInstance(uint64_t seed, InstanceProfile profile) {
         seed % 2 == 0 ? std::vector<std::string>{"hx"}
                       : std::vector<std::string>{"hx", "hy"};
     Query query = RandomExistsChain(query_seed, db->mutable_vocab(), head);
+    return DifferentialInstance(seed, profile, std::move(db),
+                                std::move(query));
+  }
+  if (profile == InstanceProfile::kGuarded) {
+    Query query = GuardedQuery(seed, query_seed, db->mutable_vocab());
     return DifferentialInstance(seed, profile, std::move(db),
                                 std::move(query));
   }

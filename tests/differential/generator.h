@@ -48,6 +48,14 @@ enum class InstanceProfile {
   /// compiler's required-columns pass drops early, with negated conjuncts
   /// on bound variables, vacuous quantifiers and repeated variables.
   kExistsChain,
+  /// 5 constants (2 unknown), one unary and one binary predicate, and the
+  /// bodies that split for Theorem 13's route of `exact`, cycling with the
+  /// seed: a positive part ∧ two guards `hx != c`; a positive part ∧
+  /// negated atoms; a positive part ∧ a ∀-implication; a positive body; and
+  /// a residual-only body (guards ∧ a negated atom). The positive part is a
+  /// random negation-free formula; heads alternate between `(hx)` and
+  /// `(hx, hy)` every five seeds.
+  kGuarded,
 };
 
 const char* ProfileName(InstanceProfile profile);

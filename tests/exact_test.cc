@@ -10,6 +10,7 @@
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
+#include "lqdb/logic/classify.h"
 #include "lqdb/logic/parser.h"
 #include "lqdb/logic/printer.h"
 #include "testing.h"
@@ -114,13 +115,81 @@ TEST_F(ExactTest, MappingBudgetIsEnforced) {
   for (int i = 0; i < 6; ++i) {
     lb_.AddUnknownConstant("u" + std::to_string(i));
   }
+  // A certain sentence that is not positive: its positive conjunct is
+  // answered on Ph₁, the first mapping of the budget, and the residual
+  // `Socrates != Plato` is swept until the budget runs out.
   ASSERT_OK_AND_ASSIGN(
-      Query q, ParseQuery(lb_.mutable_vocab(), "TEACHES(Socrates, Plato)"));
+      Query q, ParseQuery(lb_.mutable_vocab(),
+                          "TEACHES(Socrates, Plato) & Socrates != Plato"));
   ExactOptions options;
   options.max_mappings = 10;
   ExactEvaluator exact(&lb_, options);
   EXPECT_EQ(exact.Contains(q, {}).status().code(),
             StatusCode::kResourceExhausted);
+  EXPECT_EQ(exact.last_mappings_examined(), 10u);
+}
+
+// Theorem 13: a positive body's certain answer is its answer on Ph₁, the
+// image of the identity, so `exact` examines that one mapping, and the
+// budget counts it.
+TEST_F(ExactTest, PositiveBodyIsAnsweredOnPh1InOneMapping) {
+  ASSERT_OK_AND_ASSIGN(
+      Query q, ParseQuery(lb_.mutable_vocab(), "(x) . TEACHES(x, Plato)"));
+  const ConstId socrates = lb_.vocab().FindConstant("Socrates");
+  ExactEvaluator exact(&lb_);
+  ASSERT_OK_AND_ASSIGN(Relation answer, exact.Answer(q));
+  EXPECT_EQ(answer.SortedTuples(), std::vector<Tuple>{{socrates}});
+  EXPECT_EQ(exact.last_mappings_examined(), 1u);
+  ASSERT_OK_AND_ASSIGN(bool in, exact.Contains(q, {socrates}));
+  EXPECT_TRUE(in);
+  EXPECT_EQ(exact.last_mappings_examined(), 1u);
+
+  // The references keep the unconditional sweep, with the same answer.
+  ExactEvaluator batched(&lb_, {}, ExactSweep::kBatched);
+  ASSERT_OK_AND_ASSIGN(Relation reference, batched.Answer(q));
+  EXPECT_EQ(reference, answer);
+  EXPECT_EQ(batched.last_mappings_examined(), CountCanonicalMappings(lb_));
+
+  ExactOptions none;
+  none.max_mappings = 0;
+  ExactEvaluator broke(&lb_, none);
+  EXPECT_EQ(broke.Answer(q).status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(broke.last_mappings_examined(), 0u);
+}
+
+// A candidate that fails the positive part on Ph₁ has the identity as its
+// counterexample; one that fails only the residual gets the sweep's. Either
+// respects the uniqueness axioms and falsifies the query on its image.
+TEST_F(ExactTest, RoutedContainsReportsAValidCounterexample) {
+  ASSERT_OK(lb_.AddDistinct(lb_.vocab().FindConstant("Plato"), unknown_));
+  const ConstId socrates = lb_.vocab().FindConstant("Socrates");
+  const ConstId plato = lb_.vocab().FindConstant("Plato");
+  struct Case {
+    const char* text;
+    ConstId candidate;
+    bool identity;  // whether Ph₁ already falsifies it
+  };
+  const Case cases[] = {
+      {"(x) . TEACHES(x, Plato)", plato, true},
+      {"(x) . TEACHES(x, Plato) & x != Mystery", plato, true},
+      {"(x) . TEACHES(x, Plato) & x != Mystery", socrates, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.text) + " at " +
+                 lb_.vocab().ConstantName(c.candidate));
+    ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(lb_.mutable_vocab(), c.text));
+    ExactEvaluator exact(&lb_);
+    std::optional<Counterexample> cex;
+    ASSERT_OK_AND_ASSIGN(bool in, exact.Contains(q, {c.candidate}, &cex));
+    EXPECT_FALSE(in);
+    ASSERT_TRUE(cex.has_value());
+    EXPECT_EQ(cex->h == IdentityMapping(lb_.num_constants()), c.identity);
+    EXPECT_EQ(exact.last_mappings_examined() == 1, c.identity);
+    EXPECT_TRUE(RespectsUniqueness(lb_, cex->h));
+    PhysicalDatabase image = ApplyMapping(lb_, cex->h);
+    ASSERT_OK_AND_ASSIGN(Relation holds, Evaluator(&image).Answer(q));
+    EXPECT_FALSE(holds.Contains({cex->h[c.candidate]}));
+  }
 }
 
 TEST_F(ExactTest, CandidateValidation) {
@@ -470,7 +539,9 @@ TEST(ExactSweepOrderTest, OneWorkerDecidesAtTheFirstDecidingMapping) {
   // One worker walks the space in enumeration order, so `Contains` reports
   // the first falsifying mapping and `IsPossible` the first satisfying one,
   // and `last_mappings_examined()` is that mapping's position — for every
-  // mapping source and checker.
+  // mapping source and checker. Each random body φ is asked as
+  // `hx = hx -> φ`, which holds exactly where φ does but is not positive,
+  // so `exact` sweeps it rather than answering on Ph₁ (Theorem 13).
   RandomDbParams db_params;
   db_params.num_known = 3;  // 5^5 mappings keep the brute space small
   RandomFormulaParams q_params;
@@ -480,8 +551,17 @@ TEST(ExactSweepOrderTest, OneWorkerDecidesAtTheFirstDecidingMapping) {
   uint64_t no_memo_budget_legs = 0;
   for (uint64_t seed = 0; seed < 8; ++seed) {
     auto lb = RandomCwDatabase(seed, db_params);
-    Query query = RandomQuery(seed * 31 + 7, lb->mutable_vocab(), q_params);
+    const Query random =
+        RandomQuery(seed * 31 + 7, lb->mutable_vocab(), q_params);
+    const VarId hx = random.head()[0];
+    ASSERT_OK_AND_ASSIGN(
+        Query query,
+        Query::Make(random.head(),
+                    Formula::Implies(Formula::Equals(Term::Variable(hx),
+                                                     Term::Variable(hx)),
+                                     random.body())));
     ASSERT_OK_AND_ASSIGN(BoundQuery bound, BoundQuery::Bind(query));
+    ASSERT_EQ(SplitPositiveConjuncts(query.body()).positive, nullptr);
     // The zero-hit rule: a canonical sweep over a world whose unpinned
     // constants are all singleton classes runs without the memo.
     const bool all_singletons =

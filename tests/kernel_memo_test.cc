@@ -237,13 +237,16 @@ bool AllSingletons(const CwDatabase& lb, const Query& q) {
 // The zero-hit rule on the binary-head chain over 12 constants: a world
 // whose constants are all singleton classes sweeps without the memo; the
 // same world with two spare constants (which share a class: they appear in
-// no fact) sweeps with it. Answers match the memo-off sweep either way.
+// no fact) sweeps with it. Answers match the memo-off sweep either way. The
+// chain carries a negated conjunct: a positive body is answered on Ph₁
+// alone (Theorem 13) and would not reach the memo.
 TEST(KernelMemo, SweepTrafficFollowsTheZeroHitRule) {
   ScenarioParams params;
   params.num_known = 10;
   params.facts_per_relation = 24;
   const std::string chain =
-      "(x, w) . exists y. exists z. R0(x, y) & R1(y, z) & R0(z, w)";
+      "(x, w) . exists y. exists z. R0(x, y) & R1(y, z) & R0(z, w) & "
+      "!R1(z, y)";
   for (bool spares : {false, true}) {
     SCOPED_TRACE(spares ? "with spare constants" : "scenario world");
     std::unique_ptr<CwDatabase> lb = MakeScenario(/*seed=*/3, params);

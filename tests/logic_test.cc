@@ -378,6 +378,40 @@ TEST(ClassifyTest, PositiveFormulas) {
   EXPECT_TRUE(is_pos("forall x. true"));
 }
 
+TEST(ClassifyTest, SplitPositiveConjuncts) {
+  Vocabulary v;
+  ASSERT_TRUE(v.AddPredicate("P", 1).ok());
+  ASSERT_TRUE(v.AddPredicate("Q", 1).ok());
+  ASSERT_TRUE(v.AddPredicate("R", 2).ok());
+  // Each side printed, or "-" when it is empty.
+  auto split = [&v](const std::string& s) {
+    const ConjunctSplit parts =
+        SplitPositiveConjuncts(ParseFormula(&v, s).value());
+    auto print = [&v](const FormulaPtr& f) {
+      return f == nullptr ? std::string("-") : PrintFormula(v, f);
+    };
+    return print(parts.positive) + " | " + print(parts.residual);
+  };
+  EXPECT_EQ(split("P(x) & !Q(x)"), "P(x) | !Q(x)");
+  // Each side keeps its conjuncts in body order.
+  EXPECT_EQ(split("!Q(x) & P(x) & x != c & R(x, y)"),
+            "P(x) & R(x, y) | !Q(x) & x != c");
+  // `->` and `<->` antecedents are negative, so those conjuncts are swept.
+  EXPECT_EQ(split("(P(x) -> Q(x)) & R(x, y)"), "R(x, y) | P(x) -> Q(x)");
+  EXPECT_EQ(split("(P(x) <-> Q(x)) & P(x)"), "P(x) | P(x) <-> Q(x)");
+  EXPECT_EQ(split("(forall y. R(x, y) -> P(y)) & exists y. R(x, y)"),
+            "exists y. R(x, y) | forall y. R(x, y) -> P(y)");
+  // An atom-free antecedent and a double negation are positive.
+  EXPECT_EQ(split("(true -> P(x)) & !!Q(x)"), "(true -> P(x)) & !!Q(x) | -");
+  // A body that is not a conjunction is its own single conjunct.
+  EXPECT_EQ(split("P(x) | Q(x)"), "P(x) | Q(x) | -");
+  EXPECT_EQ(split("!P(x)"), "- | !P(x)");
+  EXPECT_EQ(split("!(P(x) & Q(x))"), "- | !(P(x) & Q(x))");
+  // Second-order conjuncts stay in the residual, even positive ones.
+  EXPECT_EQ(split("(exists2 S/1. S(x)) & P(x)"),
+            "P(x) | exists2 S/1. S(x)");
+}
+
 TEST(ClassifyTest, FoPrefix) {
   Vocabulary v;
   ASSERT_OK_AND_ASSIGN(

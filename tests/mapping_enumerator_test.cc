@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -290,9 +291,12 @@ std::unique_ptr<CwDatabase> MakeFactWorld(bool unknowns_first) {
 /// bijection from the blocks of `h` to the labels of `image.relabeled()`:
 /// the same domain, constants and relations once every label is mapped
 /// back to the value `h` gives its block. Also checks that the labels are
-/// block members and that every known constant labels itself.
+/// block members and that every known constant labels itself. With a read
+/// set (`reads` non-null) only those relations are compared; every other
+/// relation of the image must be empty.
 void ExpectIsomorphicImage(const CwDatabase& lb, const ConstMapping& h,
-                           const MappingImage& image) {
+                           const MappingImage& image,
+                           const std::vector<PredId>* reads = nullptr) {
   const ConstMapping& hr = image.relabeled();
   ASSERT_EQ(hr.size(), h.size());
   std::map<Value, Value> back;     // label → h-value
@@ -313,6 +317,11 @@ void ExpectIsomorphicImage(const CwDatabase& lb, const ConstMapping& h,
   }
   for (PredId pred = 0; pred < lb.vocab().num_predicates(); ++pred) {
     const Relation& rel = got.relation(pred);
+    if (reads != nullptr &&
+        std::find(reads->begin(), reads->end(), pred) == reads->end()) {
+      EXPECT_TRUE(rel.empty()) << "pred " << pred << " is not read";
+      continue;
+    }
     Relation mapped(rel.arity());
     for (const Tuple& t : rel.tuples()) {
       Tuple u(t.size());
@@ -343,6 +352,28 @@ TEST(MappingImageTest, IsomorphicToApplyMappingOnEveryMapping) {
       return true;
     });
     EXPECT_GT(count, 1u);
+  }
+}
+
+TEST(MappingImageTest, ReadSetImageIsTheFullImageRestrictedToIt) {
+  for (bool unknowns_first : {true, false}) {
+    SCOPED_TRACE(unknowns_first ? "unknowns first" : "knowns first");
+    auto lb = MakeFactWorld(unknowns_first);
+    const PredId p = lb->vocab().FindPredicate("P");
+    const PredId r = lb->vocab().FindPredicate("R");
+    for (const std::vector<PredId>& reads :
+         {std::vector<PredId>{}, std::vector<PredId>{p},
+          std::vector<PredId>{r}, std::vector<PredId>{std::min(p, r),
+                                                      std::max(p, r)}}) {
+      SCOPED_TRACE("reads " + std::to_string(reads.size()) + " relations");
+      MappingImage image(*lb, reads);
+      uint64_t count = ForEachMapping(*lb, [&](const ConstMapping& h) {
+        EXPECT_OK(image.Build(h));
+        ExpectIsomorphicImage(*lb, h, image, &reads);
+        return true;
+      });
+      EXPECT_GT(count, 1u);
+    }
   }
 }
 

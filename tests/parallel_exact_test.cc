@@ -178,7 +178,10 @@ TEST(ParallelExactTest, MaxMappingsIsAccountedGlobally) {
   }
   PredId p = lb->AddPredicate("P", 1).value();
   ASSERT_OK(lb->AddFact(p, {0}));
-  auto query = ParseQuery(lb->mutable_vocab(), "(x) . P(x)");
+  // `P(x)` in a form that is not positive, so it is swept, not answered on
+  // Ph₁ (Theorem 13).
+  auto query =
+      ParseQuery(lb->mutable_vocab(), "(x) . forall y. y = x -> P(y)");
   ASSERT_TRUE(query.ok()) << query.status();
 
   ExactOptions options;
@@ -209,7 +212,8 @@ TEST(ParallelExactTest, WorkStealingSpreadsASkewedSpaceAcrossAllWorkers) {
   // the seven unknowns hangs under one giant kernel-class subtree — the
   // shape that starved a fixed-range scheduler. A tautological query keeps
   // every candidate alive, so there is no early exit: the full space must
-  // be walked, and chunk donation must hand every worker work.
+  // be walked, and chunk donation must hand every worker work. It is not
+  // positive, so it is swept rather than answered on Ph₁ (Theorem 13).
   auto lb = std::make_unique<CwDatabase>();
   for (int i = 0; i < 3; ++i) {
     lb->AddKnownConstant("K" + std::to_string(i));
@@ -217,7 +221,7 @@ TEST(ParallelExactTest, WorkStealingSpreadsASkewedSpaceAcrossAllWorkers) {
   for (int i = 0; i < 7; ++i) {
     lb->AddUnknownConstant("U" + std::to_string(i));
   }
-  auto query = ParseQuery(lb->mutable_vocab(), "(x) . x = x");
+  auto query = ParseQuery(lb->mutable_vocab(), "(x) . x = x | x != x");
   ASSERT_TRUE(query.ok()) << query.status();
 
   ExactEvaluator sequential(lb.get());
@@ -256,8 +260,10 @@ TEST(ParallelExactTest, WorkStealingSpreadsASkewedSpaceAcrossAllWorkers) {
 }
 
 TEST(ParallelExactTest, FullSweepCountsMatchSequential) {
-  // A positive query with a nonempty answer never early-exits, so the
-  // parallel engine must examine *exactly* the canonical-mapping count.
+  // A query with a nonempty answer never early-exits, so the parallel
+  // engine must examine *exactly* the canonical-mapping count. The body is
+  // `P(x)` in a form that is not positive: a positive one is answered on
+  // Ph₁ alone (Theorem 13).
   auto lb = std::make_unique<CwDatabase>();
   for (int i = 0; i < 5; ++i) {
     lb->AddUnknownConstant("U" + std::to_string(i));
@@ -266,7 +272,8 @@ TEST(ParallelExactTest, FullSweepCountsMatchSequential) {
   for (ConstId c = 0; c < 5; ++c) {
     ASSERT_OK(lb->AddFact(p, {c}));  // P holds everywhere: nothing dies
   }
-  auto query = ParseQuery(lb->mutable_vocab(), "(x) . P(x)");
+  auto query =
+      ParseQuery(lb->mutable_vocab(), "(x) . forall y. y = x -> P(y)");
   ASSERT_TRUE(query.ok()) << query.status();
 
   const uint64_t space = CountCanonicalMappings(*lb);  // B(5) = 52

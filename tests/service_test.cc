@@ -41,6 +41,10 @@ std::unique_ptr<CwDatabase> SlowDb() {
   return RandomCwDatabase(17, p);
 }
 
+/// `P0(x)` as a body that is not positive, so the exact engine sweeps every
+/// mapping of `SlowDb` instead of answering on Ph₁ (Theorem 13).
+constexpr const char* kSweptP0 = "(x) . forall y. y = x -> P0(y)";
+
 TEST(PreparedCacheTest, SecondPrepareHitsAndAnswersAreIdentical) {
   auto lb = MurderDb();
   Service service(lb.get());
@@ -183,7 +187,7 @@ TEST(ServiceTest, CancelBeforeStartResolvesToCancelled) {
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> session,
                        service.OpenSession());
   ASSERT_OK_AND_ASSIGN(PreparedInfo info,
-                       session->Prepare("(hx) . P0(hx)"));
+                       session->Prepare(kSweptP0));
 
   ASSERT_OK_AND_ASSIGN(AsyncExecution busy,
                        session->ExecuteAsync(info.handle));
@@ -210,7 +214,7 @@ TEST(ServiceTest, InFlightLimitPushesBack) {
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> session,
                        service.OpenSession(limited));
   ASSERT_OK_AND_ASSIGN(PreparedInfo info,
-                       session->Prepare("(hx) . P0(hx)"));
+                       session->Prepare(kSweptP0));
 
   ASSERT_OK_AND_ASSIGN(AsyncExecution a, session->ExecuteAsync(info.handle));
   ASSERT_OK_AND_ASSIGN(AsyncExecution b, session->ExecuteAsync(info.handle));
@@ -447,7 +451,7 @@ TEST(ResultCacheTest, BudgetOptionsAreCacheKeyed) {
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> tiny,
                        service.OpenSession(tiny_options));
 
-  const std::string text = "(x) . P0(x)";
+  const std::string text = kSweptP0;
   ASSERT_OK_AND_ASSIGN(Relation answer, big->Query(text));
   (void)answer;
 
@@ -476,7 +480,7 @@ TEST(ServiceTest, MemoCountersSurfaceInStats) {
     Service service(lb.get());
     ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> session,
                          service.OpenSession());
-    ASSERT_OK_AND_ASSIGN(Relation answer, session->Query("(x) . P0(x)"));
+    ASSERT_OK_AND_ASSIGN(Relation answer, session->Query(kSweptP0));
     (void)answer;
     const KernelMemoCounters& memo = session->last_trace().memo;
     if (spares) {

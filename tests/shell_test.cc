@@ -149,6 +149,11 @@ explain exists2 S/1. exists x. S(x)
 )");
   // The compilable query gets a plan tree, node counts and SQL.
   EXPECT_NE(out.find("AntiJoin"), std::string::npos) << out;
+  // It has no positive conjunct, so its whole body is swept.
+  EXPECT_NE(out.find("route on Ph1: nothing (no positive conjunct)\n"
+                     "route swept: !MURDERER(x)\n"),
+            std::string::npos)
+      << out;
   EXPECT_NE(out.find("unique"), std::string::npos) << out;
   EXPECT_NE(out.find("SQL:"), std::string::npos) << out;
   EXPECT_NE(out.find("SELECT"), std::string::npos) << out;
@@ -156,6 +161,33 @@ explain exists2 S/1. exists x. S(x)
   EXPECT_NE(out.find("falls back to the batched evaluator"),
             std::string::npos)
       << out;
+  EXPECT_EQ(out.find("error:"), std::string::npos) << out;
+}
+
+TEST(ShellTest, ExplainShowsTheRouteOfTheCertainAnswer) {
+  std::string out = RunShellScript(R"(unknown Jack
+fact MURDERER(Jack)
+known Victoria
+fact SUSPECT(Victoria)
+fact SUSPECT(Jack)
+distinct Jack Victoria
+explain (x) . SUSPECT(x) & !MURDERER(x) & !(x = Jack)
+explain (x) . exists y. SUSPECT(x) & SUSPECT(y)
+exact (x) . SUSPECT(x) & !MURDERER(x) & !(x = Jack)
+)");
+  // A mixed body: the positive conjunct on Ph1, the rest swept.
+  EXPECT_NE(out.find("route on Ph1: SUSPECT(x)\n"
+                     "route swept: !MURDERER(x) & x != Jack\n"),
+            std::string::npos)
+      << out;
+  // A positive body: Ph1 answers it whole.
+  EXPECT_NE(out.find("route on Ph1: exists y. SUSPECT(x) & SUSPECT(y)\n"
+                     "route swept: nothing\n"),
+            std::string::npos)
+      << out;
+  // Victoria is the one suspect who is certainly neither the murderer nor
+  // Jack.
+  EXPECT_NE(out.find("{(Victoria)}"), std::string::npos) << out;
   EXPECT_EQ(out.find("error:"), std::string::npos) << out;
 }
 

@@ -36,6 +36,7 @@
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/exact/exact.h"
 #include "lqdb/io/text_format.h"
+#include "lqdb/logic/classify.h"
 #include "lqdb/logic/parser.h"
 #include "lqdb/logic/printer.h"
 #include "lqdb/ra/compiler.h"
@@ -92,8 +93,10 @@ constexpr const char* kHelp = R"(commands:
   plan QUERY             show Q^, its relational-algebra plan and SQL
   explain QUERY          how the compiled path evaluates QUERY: its plan
                          annotated with per-node cardinality estimates,
-                         the join-order decisions, plan size and SQL (or
-                         the fallback it takes)
+                         the join-order decisions, plan size, the route of
+                         the certain answer (conjuncts answered on Ph1,
+                         conjuncts swept) and SQL (or the fallback it
+                         takes)
   help                   this text
   quit                   leave
 query syntax:  (x, y) . exists z. R(x, z) & !S(z, y)   or a sentence)";
@@ -292,7 +295,8 @@ class Shell {
 
   /// `explain`: how the compiled Theorem 1 sweep would evaluate the query —
   /// the compiled relational-algebra plan (join-ordered against the loaded
-  /// database's cardinalities), its DAG size, and its SQL rendering.
+  /// database's cardinalities), its DAG size, the route `exact` takes for
+  /// the certain answer, and its SQL rendering.
   /// Queries outside the compilable first-order fragment report the
   /// batched checker the sweep takes instead.
   void Explain(const std::string& text) {
@@ -318,6 +322,7 @@ class Shell {
     std::printf("join_cap: %zu\n", options_.exact.ra_dp_join_cap);
     std::printf("nodes: %zu unique (%zu as a tree)\n",
                 plan.value()->NumUniqueNodes(), plan.value()->NumNodes());
+    PrintRoute(query.value());
     // The static plan validator's verdict (see src/lqdb/ra/validate.h) on
     // the compiled plan and on its semijoin-reduced form — the shapes the
     // compiled sweep actually executes.
@@ -334,6 +339,23 @@ class Shell {
                   rverdict.ok() ? "OK" : rverdict.ToString().c_str());
     }
     std::printf("SQL:\n%s\n", EmitSql(lb_->vocab(), plan.value()).c_str());
+  }
+
+  /// The route of `exact`'s certain answer (`PositiveRoute`): which
+  /// conjuncts are answered once on Ph1 (Theorem 13) and which are swept
+  /// over the mappings (Theorem 1). Possible answers and the other Theorem
+  /// 1 engines sweep the whole body.
+  void PrintRoute(const Query& query) {
+    const ConjunctSplit split = SplitPositiveConjuncts(query.body());
+    auto print = [this](const FormulaPtr& f, const char* none) {
+      return f == nullptr ? std::string(none)
+                          : PrintFormula(lb_->vocab(), f);
+    };
+    std::printf(
+        "route on Ph1: %s\n",
+        print(split.positive, "nothing (no positive conjunct)").c_str());
+    std::printf("route swept: %s\n",
+                print(split.residual, "nothing").c_str());
   }
 
   void RunQuery(const std::string& command, const std::string& text) {
